@@ -150,9 +150,7 @@ class _NoisingRun:
         m_word = table.remove_slot(slot)
         d_remove = table.f - f_before
         totals = d_remove + table.add_delta_all()
-        allowed = np.ones(1 << self.n, dtype=bool)
-        for w in table.words():
-            allowed[w] = False
+        allowed = ~table.word_mask
         allowed[m_word] = False
 
         big = np.iinfo(np.int64).max
@@ -244,16 +242,14 @@ def greedy_construct(r: int, n: int, seed: int = 0) -> Code:
         raise ValueError("need 1 <= r < n")
     rng = np.random.Generator(np.random.PCG64(seed))
     table = SignatureTable(n, r)
-    allowed = np.ones(1 << n, dtype=bool)
     while table.f > 0:
-        deltas = np.where(allowed, table.add_delta_all(), np.iinfo(np.int64).max)
+        deltas = np.where(table.word_mask, np.iinfo(np.int64).max, table.add_delta_all())
         dmin = int(deltas.min())
         if dmin >= 0:
             raise AssertionError("no improving addition despite f > 0")
         ties = np.flatnonzero(deltas == dmin)
         word = int(ties[rng.integers(len(ties))]) if len(ties) > 1 else int(ties[0])
         table.add(word)
-        allowed[word] = False
     code = table.code()
     if evaluate(code, r).f != 0:
         raise AssertionError("incremental engine disagrees with static evaluation")

@@ -55,15 +55,6 @@ class BitVector:
         return format(self.word, f"0{self.dim}b")
 
 
-def zero(dim: int) -> BitVector:
-    return BitVector(0, dim)
-
-
-def ones(dim: int) -> BitVector:
-    _check_dim(dim)
-    return BitVector((1 << dim) - 1, dim)
-
-
 def distance(x: BitVector, y: BitVector) -> int:
     """Hamming distance: the number of coordinates where x and y differ."""
     if x.dim != y.dim:
@@ -236,8 +227,3 @@ def apply_isometry(code: Code, translate: BitVector, perm: Sequence[int]) -> Cod
         raise ValueError("perm must be a permutation of 1..dim")
     words = [_permute_word(w, perm, code.dim) ^ translate.word for w in code.words]
     return Code.from_words(words, code.dim)
-
-
-def popcount(arr: np.ndarray) -> np.ndarray:
-    """Vectorized bit count for unsigned integer arrays."""
-    return np.bitwise_count(arr)

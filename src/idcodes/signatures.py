@@ -13,9 +13,11 @@ apart), so f = 0 still characterizes the property exactly.
 
 Two evaluation paths are provided and cross-checked in the test suite:
 
-* ``SignatureTable`` — a mutable table supporting O(ball) incremental
-  updates under codeword addition, removal and swap.  This is what the
-  local-search constructions iterate on.
+* ``SignatureTable`` — a mutable table updated ball by ball under codeword
+  addition, removal and swap, with one exact intern per distinct class.
+  Once asked for ``add_delta_all`` it also keeps three per-word vectors
+  that give the f-change of every addition, at O(2^n) per move.  This is
+  what the local-search constructions iterate on.
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
   one-shot verification of codes of any size.
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import Code, ball_offsets, ball_size
+from .hypercube import Code, ball_offsets
 
 # Per-vertex tables get big fast; the incremental engine is meant for the
 # search sizes, not for bulk verification (use evaluate for that).
@@ -91,7 +93,10 @@ class SignatureTable:
         self._free_slots: list[int] = []
         self._word_slot: dict[int, int] = {}
         self.ns = _pairs(n_verts)
-        self._ball_matrix: np.ndarray | None = None
+        self._word_mask = np.zeros(n_verts, dtype=bool)
+        self.word_mask = self._word_mask.view()  # read-only, True at the codewords
+        self.word_mask.flags.writeable = False
+        self._delta = None  # (T0, Cn, Q) per candidate word, from the first add_delta_all on
 
     # -- construction ------------------------------------------------------
 
@@ -115,9 +120,6 @@ class SignatureTable:
     @property
     def size(self) -> int:
         return len(self._word_slot)
-
-    def evaluation(self) -> Evaluation:
-        return Evaluation(self.nc, self.ns, self.f)
 
     def slot_of(self, word: int) -> int:
         return self._word_slot[word]
@@ -143,19 +145,6 @@ class SignatureTable:
     def code(self) -> Code:
         return Code.from_words(self.words(), self.dim)
 
-    def cover_set(self, vertex: int) -> frozenset[int]:
-        """Slot indices of the codewords within the radius of this vertex."""
-        return self._keys[int(self._key_id[vertex])]
-
-    def class_counts(self) -> dict[frozenset[int], int]:
-        """Each distinct cover set with the number of vertices holding it."""
-        out = {}
-        for key, cid in self._ids.items():
-            c = int(self._count[cid])
-            if c > 0:
-                out[key] = c
-        return out
-
     # -- interning ---------------------------------------------------------
 
     def _intern(self, key: frozenset[int]) -> int:
@@ -176,22 +165,28 @@ class SignatureTable:
         self._count[cid] = 0
         return cid
 
-    def _release(self, cid: int) -> None:
-        if cid != _EMPTY_ID and self._count[cid] == 0:
-            key = self._keys.pop(cid)
-            del self._ids[key]
-            self._free_ids.append(cid)
-
-    def _move(self, vertex: int, new_id: int) -> None:
-        old_id = int(self._key_id[vertex])
-        if old_id == new_id:
-            return
-        self.ns -= int(self._count[old_id]) - 1
-        self._count[old_id] -= 1
-        self.ns += int(self._count[new_id])
-        self._count[new_id] += 1
-        self._key_id[vertex] = new_id
-        self._release(old_id)
+    def _move_ball(self, word: int, slot: int, sign: int) -> None:
+        """Move B(word) from each class K to K | {slot} (sign +1) or K - {slot} (-1)."""
+        ball = self._offsets ^ np.uint32(word)
+        group: dict[int, int] = {}
+        inv = np.array([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()])
+        old = np.fromiter(group, dtype=np.int64, count=len(group))
+        moved = np.bincount(inv)
+        keys = [self._keys[cid] | {slot} if sign > 0 else self._keys[cid] - {slot} for cid in group]
+        self._count[old] -= moved
+        left = self._count[old]
+        for cid, c in zip(group, left.tolist()):
+            if c == 0 and cid != _EMPTY_ID:
+                del self._ids[self._keys.pop(cid)]
+                self._free_ids.append(cid)
+        new = np.fromiter(map(self._intern, keys), dtype=np.int64, count=len(keys))
+        joined = self._count[new]
+        self.ns += int(moved @ (joined - left))
+        self._count[new] += moved
+        self._key_id[ball] = new[inv]
+        if self._delta is not None:  # with classes as they are without `word`
+            base, outside = (old, left) if sign > 0 else (new, joined)
+            self._track(ball, inv, base, moved, outside, sign)
 
     # -- mutations ---------------------------------------------------------
 
@@ -208,23 +203,17 @@ class SignatureTable:
             slot = len(self._slots)
             self._slots.append(word)
         self._word_slot[word] = slot
-        ball = self._offsets ^ np.uint32(word)
-        ids = self._key_id[ball]
-        for v, old in zip(ball.tolist(), ids.tolist()):
-            new_key = self._keys[old] | {slot}
-            self._move(v, self._intern(new_key))
+        self._word_mask[word] = True
+        self._move_ball(word, slot, 1)
         return slot
 
     def remove_slot(self, slot: int) -> int:
         """Remove the codeword in this slot; returns its word."""
         word = self.word_at(slot)
-        ball = self._offsets ^ np.uint32(word)
-        ids = self._key_id[ball]
-        for v, old in zip(ball.tolist(), ids.tolist()):
-            new_key = self._keys[old] - {slot}
-            self._move(v, self._intern(new_key))
+        self._move_ball(word, slot, -1)
         self._slots[slot] = None
         del self._word_slot[word]
+        self._word_mask[word] = False
         self._free_slots.append(slot)
         return word
 
@@ -243,42 +232,70 @@ class SignatureTable:
 
     # -- deltas (no mutation) ----------------------------------------------
 
-    def add_delta(self, word: int) -> int:
-        """f(C + word) - f(C); word may not already be a codeword."""
-        if word in self._word_slot:
-            raise ValueError(f"word {word} is already a codeword")
-        ball = self._offsets ^ np.uint32(word)
-        t = Counter(self._key_id[ball].tolist())
-        delta = 0
-        for cid, tk in t.items():
-            delta -= tk * (int(self._count[cid]) - tk)
-        delta -= t.get(_EMPTY_ID, 0)
-        return delta
-
     def add_delta_all(self) -> np.ndarray:
         """f-delta of adding each word of F^n as a fresh codeword.
 
-        Entries at current codewords are meaningless; mask them out.
-        Derivation: a new codeword splits each cover-set class K into the
-        part inside its ball (t_K vertices) and the rest, so
-        delta_ns = -sum_K t_K (|K| - t_K) and delta_nc = -t_empty.
+        Entries at current codewords are meaningless; mask them out.  A new
+        codeword s splits each class K into its t_K vertices in B(s) and
+        the rest, so delta = -sum_K t_K (|K| - t_K) - t_empty
+        = V + 2 Q - Cn + T0 (T0 - nc - 2), where over B(s) T0 counts the
+        uncovered vertices, Cn sums the class sizes of the covered ones and
+        Q counts the pairs sharing a nonempty class.  The first call builds
+        T0, Cn and Q; add and remove_slot then keep them current at O(2^n)
+        per move, so each call is one vector expression.
         """
-        if self._ball_matrix is None:
-            n_verts = 1 << self.dim
-            verts = np.arange(n_verts, dtype=np.uint32)
-            self._ball_matrix = verts[:, None] ^ self._offsets[None, :]
-        g = self._key_id[self._ball_matrix]
-        cs = self._count[g].sum(axis=1)
-        t_empty = (g == _EMPTY_ID).sum(axis=1)
-        gs = np.sort(g, axis=1)
-        eq = gs[:, 1:] == gs[:, :-1]
-        run = np.cumsum(eq, axis=1)
-        resets = np.where(eq, 0, run)
-        run -= np.maximum.accumulate(resets, axis=1)
-        eq_pairs = run.sum(axis=1)
-        v = g.shape[1]
-        t_sq = v + 2 * eq_pairs  # sum_K t_K^2 over each ball
-        return t_sq - cs - t_empty
+        if self._delta is None:
+            self._start_tracking()
+        t0, cn, q = self._delta
+        return len(self._offsets) + 2 * q - cn + t0 * (t0 - self.nc - 2)
+
+    def _spread(self, verts: np.ndarray, weights=1) -> np.ndarray:
+        """out[s] = sum of weights[i] (default 1) over the verts[i] in B(s)."""
+        out = np.zeros(1 << self.dim, dtype=np.int64)
+        np.add.at(out, verts[:, None] ^ self._offsets, np.asarray(weights)[..., None])
+        return out
+
+    def _start_tracking(self) -> None:
+        # T0, Cn and Q depend only on the classes, so adding the codewords to
+        # an empty table, where T0 = V and Cn = Q = 0, rebuilds them
+        replay = SignatureTable(self.dim, self.radius)
+        zero = np.zeros(1 << self.dim, dtype=np.int64)
+        replay._delta = (zero + len(self._offsets), zero.copy(), zero)
+        for word in self._word_slot:
+            replay.add(word)
+        self._delta = replay._delta
+
+    def _track(self, ball, inv, base, k1, k2, sign: int) -> None:
+        """Carry (T0, Cn, Q) across one add (+1) or removal (-1).
+
+        ball[i] is in class base[inv[i]] of the table without the codeword;
+        class j has k1[j] members in the ball and k2[j] outside it.  The
+        codeword splits each nonempty class into those two parts and gives
+        the uncovered vertices of its ball a class of their own.
+        """
+        t0, cn, q = self._delta
+        covered = base != _EMPTY_ID
+        in_covered = covered[inv]
+        fresh = ball[~in_covered]
+        inside, ji = ball[in_covered], inv[in_covered]
+        group = np.zeros(len(self._count), dtype=np.int64)
+        group[base] = np.arange(1, len(base) + 1) * covered
+        member = group[self._key_id]
+        member[ball] = 0
+        outside = member.nonzero()[0]
+        jo = member[outside] - 1
+        # inside vertices lose the outside part of their class and vice
+        # versa; the fresh ones gain each other
+        t = self._spread(fresh)
+        shrunk = self._spread(np.concatenate((inside, outside)), np.concatenate((k2[ji], k1[jo])))
+        cn += sign * (len(fresh) * t - shrunk)
+        # pairs across the ball's boundary stop sharing a class, pairs of
+        # formerly uncovered vertices start sharing one
+        ia, ib = (ji[:, None] == jo).nonzero()
+        s = inside[ia, None] ^ self._offsets
+        cross = np.bincount(s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], minlength=len(q))
+        t0 -= sign * t
+        q += sign * (t * (t - 1) // 2 - cross)
 
     def remove_delta(self, slot: int) -> int:
         """f(C - codeword in slot) - f(C).
@@ -341,6 +358,7 @@ class SignatureTable:
         active = set(self.active_slots())
         for cid in counted:
             assert self._keys[cid] <= active, "cover set references a free slot"
+        assert self._word_mask.nonzero()[0].tolist() == self.words(), "stale codeword mask"
 
 
 # -- spec-level function API -------------------------------------------------

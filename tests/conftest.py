@@ -11,6 +11,11 @@ implementations written here from scratch with different techniques:
 
 The two oracles are also cross-checked against each other, so a mistake
 in any one implementation cannot silently define correctness.
+
+The table's maintained add-delta vector gets its own oracles, which read
+only the table's class ids and class sizes: ``full_add_delta_all``
+re-scores every candidate from scratch (gather each ball's class ids and
+row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 """
 
 from __future__ import annotations
@@ -62,6 +67,53 @@ def oracle_eval(words, n, r):
 def oracle_identifying(words, n, r):
     nc, ns = oracle_eval(words, n, r)
     return nc + ns == 0
+
+
+def full_add_delta_all(table):
+    """f-delta of adding each word of F^n, by a full pass over all balls.
+
+    A new codeword splits each cover-set class K into the part inside its
+    ball (t_K vertices) and the rest, so delta_ns = -sum_K t_K (|K| - t_K)
+    and delta_nc = -t_empty.  Row-sorting the gathered class ids turns
+    sum_K t_K^2 into V + 2 * (equal neighbour pairs within runs).
+    """
+    verts = np.arange(1 << table.dim, dtype=np.uint32)
+    g = table._key_id[verts[:, None] ^ table._offsets[None, :]]
+    cs = table._count[g].sum(axis=1)
+    t_empty = (g == 0).sum(axis=1)
+    gs = np.sort(g, axis=1)
+    eq = gs[:, 1:] == gs[:, :-1]
+    run = np.cumsum(eq, axis=1)
+    resets = np.where(eq, 0, run)
+    run -= np.maximum.accumulate(resets, axis=1)
+    eq_pairs = run.sum(axis=1)
+    t_sq = g.shape[1] + 2 * eq_pairs  # sum_K t_K^2 over each ball
+    return t_sq - cs - t_empty
+
+
+def scalar_add_delta(table, word):
+    """f(C + word) - f(C) for one non-codeword, by counting classes."""
+    assert not table.has_word(word)
+    t = Counter(table._key_id[table._offsets ^ np.uint32(word)].tolist())
+    delta = -t.get(0, 0)
+    for cid, tk in t.items():
+        delta -= tk * (int(table._count[cid]) - tk)
+    return delta
+
+
+def cover_set(table, vertex):
+    """Slot indices of the codewords within the radius of this vertex."""
+    return table._keys[int(table._key_id[vertex])]
+
+
+def class_counts(table):
+    """Each distinct cover set held by some vertex, with its vertex count."""
+    out = {}
+    for key, cid in table._ids.items():
+        c = int(table._count[cid])
+        if c > 0:
+            out[key] = c
+    return out
 
 
 def random_code(rng, n, kmin=2, kmax=None):

@@ -15,7 +15,7 @@ from idcodes.heuristics import (
 from idcodes.hypercube import ball_size
 from idcodes.signatures import SignatureTable
 
-from conftest import oracle_identifying
+from conftest import full_add_delta_all, oracle_identifying
 
 
 def params(size, seed=0, iters=4000, rho=3.0):
@@ -239,3 +239,34 @@ class TestPrune:
         assert oracle_identifying(code.words, 6, 1)
         direct = greedy_construct(1, 6, seed=0)
         assert len(code) <= len(direct)
+
+
+class TestMaintainedDeltasSameSeed:
+    """The maintained add-delta vector changes no decision of the searches:
+    with the full-pass oracle patched in, every output is identical."""
+
+    @pytest.mark.parametrize("r,n,size", [(1, 6, 21), (2, 6, 10), (1, 7, 40)])
+    def test_noising_reports_identical(self, r, n, size, monkeypatch):
+        p = NoisingParams(target_size=size, rho_init=1.0, rho_steps=10,
+                          max_iterations=600, seed=n + r)
+        maintained = noising_search(r, n, p)
+        monkeypatch.setattr(SignatureTable, "add_delta_all", full_add_delta_all)
+        assert noising_search(r, n, p) == maintained
+        assert maintained.sizes_achieved  # the runs reach identifying codes
+
+    @pytest.mark.parametrize("r,n", [(1, 6), (2, 7)])
+    def test_greedy_and_prune_codes_identical(self, r, n, monkeypatch):
+        maintained = greedy_construct(r, n, seed=5)
+        pruned = prune(maintained, r, restarts=4, seed=5)
+        monkeypatch.setattr(SignatureTable, "add_delta_all", full_add_delta_all)
+        assert greedy_construct(r, n, seed=5) == maintained
+        assert prune(maintained, r, restarts=4, seed=5) == pruned
+
+    def test_prune_allocates_no_delta_state(self, monkeypatch):
+        code = greedy_construct(1, 6, seed=2)
+
+        def refuse(self):
+            raise AssertionError("prune must not build the add-delta state")
+
+        monkeypatch.setattr(SignatureTable, "_start_tracking", refuse)
+        assert evaluate(prune(code, 1, restarts=4, seed=0), 1).f == 0

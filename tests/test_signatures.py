@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code, full_space
 from idcodes.signatures import (
@@ -14,7 +16,15 @@ from idcodes.signatures import (
     swap_delta,
 )
 
-from conftest import brute_cover_sets, oracle_eval, random_code
+from conftest import (
+    brute_cover_sets,
+    class_counts,
+    cover_set,
+    full_add_delta_all,
+    oracle_eval,
+    random_code,
+    scalar_add_delta,
+)
 
 
 def grid():
@@ -123,9 +133,9 @@ class TestTableBuild:
         t = SignatureTable.build(code, 1)
         cover = brute_cover_sets(code.words, 3, 1)
         for v in range(8):
-            got = {t.word_at(s) for s in t.cover_set(v)}
+            got = {t.word_at(s) for s in cover_set(t, v)}
             assert got == set(cover[v])
-        counts = t.class_counts()
+        counts = class_counts(t)
         assert sum(counts.values()) == 8
         assert all(c > 0 for c in counts.values())
 
@@ -247,7 +257,7 @@ class TestDeltas:
             t = SignatureTable.build(code, r)
             candidates = [w for w in range(1 << n) if not t.has_word(w)]
             for w in candidates[:8]:
-                predicted = t.add_delta(w)
+                predicted = scalar_add_delta(t, w)
                 before = t.f
                 t.add(w)
                 assert t.f - before == predicted
@@ -263,7 +273,7 @@ class TestDeltas:
             assert vec.shape == (1 << n,)
             for w in range(1 << n):
                 if not t.has_word(w):
-                    assert int(vec[w]) == t.add_delta(w)
+                    assert int(vec[w]) == scalar_add_delta(t, w)
 
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 1), (4, 2), (5, 2)])
     def test_remove_delta_matches_mutation(self, n, r, rng):
@@ -306,3 +316,60 @@ class TestDeltas:
         before = t.f
         t.swap(slot, 1)
         assert t.f - before == predicted
+
+
+def _static_nc_ns(table):
+    """(nc, ns) of the table's code by the static evaluator."""
+    if table.size == 0:
+        n_verts = 1 << table.dim
+        return n_verts, n_verts * (n_verts - 1) // 2
+    ev = evaluate(table.code(), table.radius)
+    return ev.nc, ev.ns
+
+
+class TestMaintainedDeltas:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_moves_match_full_pass(self, data):
+        n = data.draw(st.integers(3, 8), label="n")
+        r = data.draw(st.integers(1, 3), label="r")
+        steps = data.draw(st.integers(1, 30), label="steps")
+        first_call = data.draw(st.integers(0, steps), label="mutations before add_delta_all")
+        t = SignatureTable(n, r)
+        tracking = False
+        for step in range(steps):
+            if step == first_call:
+                tracking = True
+            slots = t.active_slots()
+            if slots and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
+                t.remove_slot(data.draw(st.sampled_from(slots), label="slot"))
+            else:
+                outside = np.flatnonzero(~t.word_mask).tolist()
+                t.add(data.draw(st.sampled_from(outside), label="word"))
+            t.check()
+            assert (t.nc, t.ns) == _static_nc_ns(t)
+            if tracking:
+                assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+
+    def test_slot_reuse_keeps_vector_exact(self, rng):
+        # remove then re-add through the same freed slot, as a swap does
+        n, r = 6, 2
+        t = SignatureTable.build(random_code(rng, n, kmin=6, kmax=10), r)
+        t.add_delta_all()
+        for _ in range(40):
+            slot = int(rng.choice(t.active_slots()))
+            t.remove_slot(slot)
+            assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+            word = int(rng.choice(np.flatnonzero(~t.word_mask)))
+            assert t.add(word) == slot  # LIFO: the freed slot again
+            assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+        t.check()
+
+    def test_word_mask_tracks_codewords(self):
+        t = SignatureTable(4, 1)
+        for w in (3, 9, 14):
+            t.add(w)
+        t.remove(9)
+        assert np.flatnonzero(t.word_mask).tolist() == [3, 14]
+        with pytest.raises(ValueError):
+            t.word_mask[0] = True  # a read-only view
