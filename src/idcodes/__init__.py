@@ -78,12 +78,9 @@ from .signatures import (
     Evaluation,
     SignatureTable,
     VerifyReport,
-    apply_swap,
-    build_signatures,
     diagnose,
     evaluate,
     is_identifying,
-    swap_delta,
 )
 
 __version__ = "0.1.0"
@@ -108,10 +105,8 @@ __all__ = [
     "VerifyReport",
     "apply_isometry",
     "apply_plan",
-    "apply_swap",
     "ball",
     "ball_size",
-    "build_signatures",
     "check_consistency",
     "classify_size",
     "compare",

@@ -16,25 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import codefile, convert, exact, extend, heuristics
-from .hypercube import BitVector, Code
+from .hypercube import Code
 from .signatures import diagnose
-
-THREADS_ENV = "IDCODES_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return os.cpu_count() or 1
-    return max(1, value)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -111,10 +98,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict, list[str]]:
-    rho_init = args.rho_init if args.rho_init is not None else 2 * args.r + 1
+    rho_init = args.rho_init
+    if rho_init is None:
+        rho_init = heuristics.default_params(args.r, args.size).rho_init
     seeds = [args.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
-
-    def run(seed: int) -> heuristics.SearchReport:
+    best: heuristics.SearchReport | None = None
+    best_seed = seeds[0]
+    for seed in seeds:
         params = heuristics.NoisingParams(
             target_size=args.size,
             rho_init=rho_init,
@@ -123,24 +113,13 @@ def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict, lis
             max_iterations=args.max_iterations,
             seed=seed,
         )
-        return heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
-
-    if len(seeds) == 1:
-        reports = [run(seeds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(_default_threads(), len(seeds))) as pool:
-            reports = list(pool.map(run, seeds))
-
-    best: heuristics.SearchReport | None = None
-    best_seed = seeds[0]
-    for seed, rep in zip(seeds, reports):
+        rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
         better = best is None or (
             rep.best_code is not None
             and (best.best_code is None or len(rep.best_code) < len(best.best_code))
         )
         if better:
             best, best_seed = rep, seed
-    assert best is not None
     lines = [f"seed {best_seed}", *best.to_text().splitlines()]
     payload = {
         "method": "noising",
@@ -163,9 +142,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             _emit(args, payload, lines + ["no identifying code found"])
             return 1
     else:
-        code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
         if args.prune:
-            code = heuristics.prune(code, args.r, restarts=args.restarts, seed=args.seed)
+            code = heuristics.greedy_and_prune(args.r, args.n, seed=args.seed, restarts=args.restarts)
+        else:
+            code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
         payload = {"method": "greedy", "seed": args.seed, "size": len(code)}
         lines = [f"size {len(code)}"]
     ev = diagnose(code, args.r)

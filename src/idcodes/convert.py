@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import Code, append_parity, delete_coordinate
+from .hypercube import Code
 from .signatures import _evaluate_static
 
 
@@ -42,10 +42,13 @@ class DiscriminatingReport:
     unseparated: tuple[int, int] | None
 
 
-def _check_even(code: Code) -> None:
-    for w in code.words:
-        if w.bit_count() & 1:
-            raise ValueError(f"codeword {w} has odd weight; all must be even")
+def _check_even(code: Code) -> np.ndarray:
+    """The codewords as a uint32 array, after checking they all have even weight."""
+    words = np.array(code.words, dtype=np.uint32)
+    odd = np.flatnonzero(np.bitwise_count(words) & 1)
+    if len(odd):
+        raise ValueError(f"codeword {code.words[odd[0]]} has odd weight; all must be even")
+    return words
 
 
 def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
@@ -54,8 +57,7 @@ def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
         raise ValueError("the property is defined for odd radii only")
     if radius > code.dim:
         raise ValueError(f"radius {radius} out of range for dim {code.dim}")
-    _check_even(code)
-    words = np.array(code.words, dtype=np.uint32)
+    words = _check_even(code)
     nc, ns, uncovered, pair = _evaluate_static(
         words, code.dim, radius, True, target_mask=odd_mask(code.dim)
     )
@@ -79,7 +81,9 @@ def to_discriminating(code: Code) -> Code:
     """Append each codeword's parity bit; output lives in the even half
     of F^{n+1} and is r-discriminating there whenever the input is
     r-identifying (r odd)."""
-    return Code.from_vectors(append_parity(v) for v in code.vectors())
+    words = np.array(code.words, dtype=np.int64)
+    # w -> 2w + parity(w) keeps the words strictly increasing
+    return Code(code.dim + 1, tuple(((words << 1) | (np.bitwise_count(words) & 1)).tolist()))
 
 
 def to_identifying(code: Code, pos: int | None = None) -> Code:
@@ -89,9 +93,15 @@ def to_identifying(code: Code, pos: int | None = None) -> Code:
     r-discriminating code of F^n into an r-identifying code of F^{n-1}
     for any choice of coordinate.
     """
-    _check_even(code)
+    words = _check_even(code)
     if pos is None:
         pos = code.dim
-    out = Code.from_vectors(delete_coordinate(v, pos) for v in code.vectors())
+    if code.dim < 2:
+        raise ValueError("cannot delete from a 1-dimensional vector")
+    if not 1 <= pos <= code.dim:
+        raise ValueError(f"position {pos} out of range for dim {code.dim}")
+    low_bits = code.dim - pos  # bits strictly below the deleted coordinate
+    high = words >> (low_bits + 1) << low_bits
+    out = np.unique(high | (words & ((1 << low_bits) - 1)))
     assert len(out) == len(code), "coordinate deletion must stay injective"
-    return out
+    return Code(code.dim - 1, tuple(out.tolist()))

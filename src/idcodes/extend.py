@@ -56,8 +56,8 @@ def _band(r1: int, p: int, r2: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def compute_x_set(code: Code, r1: int, p: int, r2: int = 0) -> set[BitVector]:
-    """Vertices of F^n with no codeword in the band [r1-p+r2+1, r1+r2].
+def compute_x_set(code: Code, r1: int, p: int, r2: int = 0) -> tuple[int, ...]:
+    """Vertices of F^n with no codeword in the band [r1-p+r2+1, r1+r2], as sorted words.
 
     These are exactly the vertices the plain direct sum with F^p fails to
     identify at radius r1 + r2.  With p large enough (p > r1 when r2 = 0)
@@ -69,43 +69,36 @@ def compute_x_set(code: Code, r1: int, p: int, r2: int = 0) -> set[BitVector]:
     n = code.dim
     lo, hi = _band(r1, p, r2, n)
     if lo > hi:
-        return {BitVector(w, n) for w in range(1 << n)}
-    counts = np.zeros(1 << n, dtype=np.int64)
-    offs = annulus_offsets(n, lo, hi)
-    for c in code.words:
-        np.add.at(counts, offs ^ np.uint32(c), 1)
-    return {BitVector(int(w), n) for w in np.flatnonzero(counts == 0)}
+        return tuple(range(1 << n))
+    words = np.array(code.words, dtype=np.uint32)
+    counts = np.bincount((words[:, None] ^ annulus_offsets(n, lo, hi)).ravel(), minlength=1 << n)
+    return tuple(np.flatnonzero(counts == 0).tolist())
 
 
 def cover_annulus(
     xset: Iterable[BitVector | int], lo: int, hi: int, n: int
-) -> set[BitVector]:
+) -> tuple[int, ...]:
     """Greedy cover: pick vertices seeing the most uncovered X-members in [lo, hi].
 
-    Ties go to the smallest word, so the result is deterministic.  With
-    lo = hi this is exact-distance covering (used by construction C2).
-    Every x is at distance lo from some vertex, so the cover always
-    completes.
+    Returns the chosen words, sorted.  Ties go to the smallest word, so
+    the result is deterministic.  With lo = hi this is exact-distance
+    covering (used by construction C2).  Every x is at distance lo from
+    some vertex, so the cover always completes.
     """
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"need 0 <= lo <= hi <= {n}")
-    members = _as_words(xset, n)
-    if not members:
-        return set()
     offs = annulus_offsets(n, lo, hi)
-    uncovered = set(members)
-    chosen: set[BitVector] = set()
-    while uncovered:
-        gain = np.zeros(1 << n, dtype=np.int64)
-        for x in uncovered:
-            np.add.at(gain, offs ^ np.uint32(x), 1)
+    uncovered = np.array(_as_words(xset, n), dtype=np.uint32)
+    chosen = []
+    while len(uncovered):
+        gain = np.bincount((uncovered[:, None] ^ offs).ravel(), minlength=1 << n)
         y = int(np.argmax(gain))  # first maximum = smallest word
         if gain[y] == 0:
             raise AssertionError("uncoverable X member; annulus range broken")
-        chosen.add(BitVector(y, n))
-        hits = {int(w) for w in (offs ^ np.uint32(y)).tolist()}
-        uncovered -= hits
-    return chosen
+        chosen.append(y)
+        d = np.bitwise_count(uncovered ^ np.uint32(y))
+        uncovered = uncovered[(d < lo) | (d > hi)]
+    return tuple(sorted(chosen))
 
 
 @dataclass(frozen=True)
@@ -113,8 +106,9 @@ class ExtensionPlan:
     """Everything needed to carry out one extension, fully precomputed.
 
     ``k`` is None for construction C1; construction C2 additionally
-    carries the k-separating factor ``separ``.  The output radius is
-    r1 + r2 and the output dimension base.dim + p.
+    carries the k-separating factor ``separ``.  ``x_set`` and ``y_set``
+    are sorted words of F^n.  The output radius is r1 + r2 and the output
+    dimension base.dim + p.
     """
 
     base: Code
@@ -122,8 +116,8 @@ class ExtensionPlan:
     p: int
     r2: int
     k: int | None
-    x_set: frozenset[BitVector]
-    y_set: frozenset[BitVector]
+    x_set: tuple[int, ...]
+    y_set: tuple[int, ...]
     separ: Code | None
 
     @property
@@ -211,8 +205,7 @@ def plan_c1(code: Code, r1: int, p: int, r2: int = 0, force: bool = False) -> Ex
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
     lo, hi = _band(r1, p, r2, n)
-    yset = cover_annulus(xset, lo, min(hi, n), n) if xset else set()
-    return ExtensionPlan(code, r1, p, r2, None, frozenset(xset), frozenset(yset), None)
+    return ExtensionPlan(code, r1, p, r2, None, xset, cover_annulus(xset, lo, hi, n), None)
 
 
 def plan_c2(
@@ -232,15 +225,15 @@ def plan_c2(
     d = r1 + r2 - k
     if xset and not 0 <= d <= n:
         raise ExtensionError(f"required covering distance {d} impossible in F^{n}")
-    yset = cover_annulus(xset, d, d, n) if xset else set()
-    return ExtensionPlan(code, r1, p, r2, k, frozenset(xset), frozenset(yset), separ)
+    yset = cover_annulus(xset, d, d, n) if xset else ()
+    return ExtensionPlan(code, r1, p, r2, k, xset, yset, separ)
 
 
 def apply_plan(plan: ExtensionPlan) -> Code:
     """Carry out a plan and verify the result; returns the extended code."""
     parts = direct_sum(plan.base, full_space(plan.p)).words
     if plan.y_set:
-        ycode = Code.from_vectors(sorted(plan.y_set))
+        ycode = Code(plan.base.dim, plan.y_set)
         patch = _nonzero_cube(plan.p) if plan.separ is None else plan.separ
         parts = parts + direct_sum(ycode, patch).words
     out = Code.from_words(parts, plan.out_dim)

@@ -9,6 +9,7 @@ the length-9 vector written ``110000001`` is simply the integer 385.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -184,8 +185,11 @@ class Code:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, BitVector):
-            return item.dim == self.dim and item.word in set(self.words)
-        return item in set(self.words)
+            if item.dim != self.dim:
+                return False
+            item = item.word
+        i = bisect_left(self.words, item)
+        return i < len(self.words) and self.words[i] == item
 
     def __iter__(self):
         return iter(self.words)

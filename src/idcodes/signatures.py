@@ -14,7 +14,7 @@ apart), so f = 0 still characterizes the property exactly.
 Two evaluation paths are provided and cross-checked in the test suite:
 
 * ``SignatureTable`` — a mutable table updated ball by ball under codeword
-  addition, removal and swap, with one exact intern per distinct class.
+  addition and removal, with one exact intern per distinct class.
   Once asked for ``add_delta_all`` it also keeps three per-word vectors
   that give the f-change of every addition, at O(2^n) per move.  This is
   what the local-search constructions iterate on.
@@ -217,19 +217,6 @@ class SignatureTable:
         self._free_slots.append(slot)
         return word
 
-    def remove(self, word: int) -> int:
-        """Remove a codeword by value; returns the slot it freed."""
-        slot = self._word_slot[word]
-        self.remove_slot(slot)
-        return slot
-
-    def swap(self, slot: int, word: int) -> None:
-        """Replace the codeword in `slot` by `word` (a noncodeword)."""
-        if word in self._word_slot:
-            raise ValueError(f"word {word} is already a codeword")
-        self.remove_slot(slot)
-        self.add(word)  # LIFO slot reuse puts `word` into `slot`
-
     # -- deltas (no mutation) ----------------------------------------------
 
     def add_delta_all(self) -> np.ndarray:
@@ -317,33 +304,6 @@ class SignatureTable:
                 delta += c_class  # these vertices become uncovered
         return delta
 
-    def swap_delta(self, slot: int, word: int) -> int:
-        """f(C with slot's codeword replaced by word) - f(C); no mutation.
-
-        Composed as removal delta plus an addition delta evaluated on an
-        overlay of the post-removal state (classes holding `slot` merged
-        into their keys without it).
-        """
-        if word in self._word_slot:
-            raise ValueError(f"word {word} is already a codeword")
-        delta = self.remove_delta(slot)
-        ball = self._offsets ^ np.uint32(word)
-        t: Counter[frozenset[int]] = Counter()
-        for cid in self._key_id[ball].tolist():
-            key = self._keys[cid]
-            if slot in key:
-                key = key - {slot}
-            t[key] += 1
-        for key, tk in t.items():
-            base = self._ids.get(key)
-            c = int(self._count[base]) if base is not None else 0
-            merged = self._ids.get(key | {slot})
-            if merged is not None:
-                c += int(self._count[merged])
-            delta -= tk * (c - tk)
-        delta -= sum(tk for key, tk in t.items() if not key)
-        return delta
-
     # -- integrity ---------------------------------------------------------
 
     def check(self) -> None:
@@ -359,22 +319,6 @@ class SignatureTable:
         for cid in counted:
             assert self._keys[cid] <= active, "cover set references a free slot"
         assert self._word_mask.nonzero()[0].tolist() == self.words(), "stale codeword mask"
-
-
-# -- spec-level function API -------------------------------------------------
-
-
-def build_signatures(code: Code, radius: int) -> SignatureTable:
-    """Full cover-set table for the code, built codeword by codeword."""
-    return SignatureTable.build(code, radius)
-
-
-def swap_delta(table: SignatureTable, slot: int, word: int) -> int:
-    return table.swap_delta(slot, word)
-
-
-def apply_swap(table: SignatureTable, slot: int, word: int) -> None:
-    table.swap(slot, word)
 
 
 def _exact_group_ns(words: np.ndarray, members: np.ndarray, n: int, r: int,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code, is_identifying
 from idcodes.convert import (
@@ -11,6 +13,7 @@ from idcodes.convert import (
     to_discriminating,
     to_identifying,
 )
+from idcodes.hypercube import append_parity, delete_coordinate
 
 from conftest import brute_cover_sets, oracle_identifying, random_code
 
@@ -106,6 +109,28 @@ class TestToIdentifying:
     def test_default_position_is_last(self):
         code = Code.from_words([0b110, 0b011], 3)
         assert to_identifying(code).words == to_identifying(code, 3).words
+
+
+@st.composite
+def codes(draw):
+    n = draw(st.integers(2, 9), label="n")
+    words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 40)))
+    return Code.from_words(words, n)
+
+
+class TestBijectionProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(codes())
+    def test_parity_bijection(self, code):
+        disc = to_discriminating(code)
+        assert disc == Code.from_vectors(append_parity(v) for v in code.vectors())
+        for pos in range(1, disc.dim + 1):
+            want = Code.from_vectors(delete_coordinate(v, pos) for v in disc.vectors())
+            assert to_identifying(disc, pos) == want
+        assert to_identifying(disc) == code
+        for r in (1, 3):
+            if r < code.dim:
+                assert oracle_identifying(code.words, code.dim, r) == is_discriminating(disc, r)
 
 
 class TestDiscriminatingReport:

@@ -54,16 +54,16 @@ class TestXSet:
         for _ in range(12):
             code = random_code(rng, 5)
             for r1, p, r2 in [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 1, 1), (3, 2, 1)]:
-                got = {v.word for v in compute_x_set(code, r1, p, r2)}
+                got = set(compute_x_set(code, r1, p, r2))
                 assert got == brute_x_set(code, r1, p, r2)
 
     def test_full_space_base_has_empty_x(self):
         code = Code.from_words(range(8), 3)
-        assert compute_x_set(code, 1, 1) == set()
+        assert compute_x_set(code, 1, 1) == ()
 
     def test_identifying_base_with_large_p_has_empty_x(self, base14):
         # band reaches down to 0, so covered vertices cannot land in X
-        assert compute_x_set(base14, 1, 2) == set()
+        assert compute_x_set(base14, 1, 2) == ()
 
     def test_empty_band_returns_all_vertices(self):
         # lo > hi: nothing can satisfy the band, every vertex is in X
@@ -74,7 +74,7 @@ class TestXSet:
     def test_x_shrinks_as_p_grows(self, base15):
         prev = None
         for p in (1, 2, 3):
-            cur = {v.word for v in compute_x_set(base15, 1, p)}
+            cur = set(compute_x_set(base15, 1, p))
             if prev is not None:
                 assert cur <= prev
             prev = cur
@@ -100,16 +100,16 @@ class TestCoverAnnulus:
             ys = cover_annulus(xs, lo, hi, n)
             for x in xs:
                 assert any(
-                    lo <= bin(x ^ y.word).count("1") <= hi for y in ys
+                    lo <= bin(x ^ y).count("1") <= hi for y in ys
                 )
 
     def test_empty_input(self):
-        assert cover_annulus([], 0, 1, 4) == set()
+        assert cover_annulus([], 0, 1, 4) == ()
 
     def test_distance_zero_needs_every_member(self):
         xs = [3, 5, 9]
         ys = cover_annulus(xs, 0, 0, 4)
-        assert {y.word for y in ys} == set(xs)
+        assert ys == tuple(xs)
 
     def test_deterministic(self, rng):
         xs = sorted(int(w) for w in rng.choice(64, size=12, replace=False))
@@ -120,7 +120,7 @@ class TestCoverAnnulus:
     def test_accepts_bitvectors(self):
         xs = [BitVector(3, 4), BitVector(12, 4)]
         ys = cover_annulus(xs, 1, 1, 4)
-        assert ys
+        assert ys and ys == cover_annulus([3, 12], 1, 1, 4)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -134,8 +134,8 @@ class TestCoverAnnulus:
 class TestC1:
     def test_empty_x_is_plain_direct_sum(self, base14):
         plan = plan_c1(base14, 1, 2)
-        assert plan.x_set == frozenset()
-        assert plan.y_set == frozenset()
+        assert plan.x_set == ()
+        assert plan.y_set == ()
         out = apply_plan(plan)
         assert len(out) == 4 * len(base14) == plan.predicted_size() == 28
         assert out.dim == 6
@@ -158,7 +158,7 @@ class TestC1:
 
     def test_predicted_size_is_exact_without_overlap(self, base15):
         plan = plan_c1(base15, 1, 1)
-        overlap = {v.word for v in plan.y_set} & set(base15.words)
+        overlap = set(plan.y_set) & set(base15.words)
         out = apply_plan(plan)
         if not overlap:
             assert len(out) == plan.predicted_size()

@@ -162,6 +162,7 @@ class TestCode:
         assert c.words == (1, 3, 5)
         assert len(c) == 3
         assert 3 in c and 2 not in c
+        assert BitVector(3, 3) in c and BitVector(3, 4) not in c
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

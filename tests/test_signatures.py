@@ -8,12 +8,9 @@ from idcodes.signatures import (
     MAX_TABLE_DIM,
     Evaluation,
     SignatureTable,
-    apply_swap,
-    build_signatures,
     diagnose,
     evaluate,
     is_identifying,
-    swap_delta,
 )
 
 from conftest import (
@@ -145,12 +142,6 @@ class TestTableBuild:
         with pytest.raises(ValueError):
             SignatureTable(4, 5)
 
-    def test_build_signatures_wrapper(self):
-        code = Code.from_words([0, 3, 5], 3)
-        t = build_signatures(code, 1)
-        assert t.words() == [0, 3, 5]
-        assert t.code().words == (0, 3, 5)
-
 
 class TestMutations:
     def test_add_remove_roundtrip(self, rng):
@@ -163,7 +154,7 @@ class TestMutations:
         ev = evaluate(Code.from_words(words, n), r)
         assert (t.nc, t.ns) == (ev.nc, ev.ns)
         for w in words[:4]:
-            t.remove(int(w))
+            t.remove_slot(t.slot_of(int(w)))
         t.check()
         rest = Code.from_words(words[4:], n)
         ev = evaluate(rest, r)
@@ -184,7 +175,7 @@ class TestMutations:
     def test_remove_unknown_word(self):
         t = SignatureTable(3, 1)
         with pytest.raises(KeyError):
-            t.remove(5)
+            t.remove_slot(t.slot_of(5))
 
     def test_slot_reuse_is_lifo(self):
         t = SignatureTable(4, 1)
@@ -197,23 +188,19 @@ class TestMutations:
         assert t.slot_active(s1)
 
     def test_swap_keeps_slot(self):
+        # remove_slot then add, the noising move, puts the new word into
+        # the freed slot (LIFO reuse)
         t = SignatureTable(4, 1)
         t.add(0)
         slot = t.add(15)
         t.add(5)
-        t.swap(slot, 9)
+        assert t.remove_slot(slot) == 15
+        assert t.add(9) == slot
         assert t.word_at(slot) == 9
         assert t.has_word(9) and not t.has_word(15)
         ev = evaluate(Code.from_words([0, 9, 5], 4), 1)
         assert (t.nc, t.ns) == (ev.nc, ev.ns)
         t.check()
-
-    def test_swap_to_existing_word_rejected(self):
-        t = SignatureTable(3, 1)
-        t.add(0)
-        slot = t.add(7)
-        with pytest.raises(ValueError):
-            t.swap(slot, 0)
 
     def test_long_random_mutation_storm(self, rng):
         n, r = 5, 2
@@ -228,7 +215,7 @@ class TestMutations:
                 present.add(w)
             elif op == 1 and len(present) > 1:
                 w = int(rng.choice(sorted(present)))
-                t.remove(w)
+                t.remove_slot(t.slot_of(w))
                 present.discard(w)
             else:
                 slot = int(rng.choice(t.active_slots()))
@@ -237,7 +224,8 @@ class TestMutations:
                 if not choices:
                     continue
                 w = int(rng.choice(choices))
-                t.swap(slot, w)
+                t.remove_slot(slot)
+                t.add(w)
                 present.discard(old)
                 present.add(w)
             if step % 50 == 0:
@@ -261,7 +249,7 @@ class TestDeltas:
                 before = t.f
                 t.add(w)
                 assert t.f - before == predicted
-                t.remove(w)
+                t.remove_slot(t.slot_of(w))
                 assert t.f == before
 
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -298,24 +286,34 @@ class TestDeltas:
             for _ in range(10):
                 slot = int(rng.choice(slots))
                 w = int(rng.choice(outside))
-                predicted = t.swap_delta(slot, w)
-                assert predicted == swap_delta(t, slot, w)
                 before = t.f
-                old = t.word_at(slot)
-                apply_swap(t, slot, w)
+                predicted, old = _remove_add(t, slot, w)
                 assert t.f - before == predicted
-                apply_swap(t, slot, old)
+                _remove_add(t, slot, old)
                 assert t.f == before
 
     def test_swap_delta_covers_overlap_case(self):
-        # swapped-in word inside the removed word's ball: the overlay
-        # bookkeeping must not double-count the vacated classes
+        # the new word inside the removed word's ball: its add-delta must
+        # be scored on the classes as they are after the removal
         t = SignatureTable.build(Code.from_words([0, 12], 4), 1)
-        slot = t.slot_of(0)
-        predicted = t.swap_delta(slot, 1)  # distance 1 from the removed word
         before = t.f
-        t.swap(slot, 1)
+        predicted, _ = _remove_add(t, t.slot_of(0), 1)  # distance 1 from 0
         assert t.f - before == predicted
+        t.check()
+
+
+def _remove_add(table, slot, word):
+    """Move the codeword in `slot` to `word` as a noising visit does.
+
+    Returns the f-change predicted before the add, remove_delta plus the
+    add-delta of `word` after the removal, and the removed word.  The
+    word lands back in `slot`.
+    """
+    predicted = table.remove_delta(slot)
+    old = table.remove_slot(slot)
+    predicted += int(table.add_delta_all()[word])
+    assert table.add(word) == slot
+    return predicted, old
 
 
 def _static_nc_ns(table):
@@ -369,7 +367,7 @@ class TestMaintainedDeltas:
         t = SignatureTable(4, 1)
         for w in (3, 9, 14):
             t.add(w)
-        t.remove(9)
+        t.remove_slot(t.slot_of(9))
         assert np.flatnonzero(t.word_mask).tolist() == [3, 14]
         with pytest.raises(ValueError):
             t.word_mask[0] = True  # a read-only view
