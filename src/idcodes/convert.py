@@ -25,13 +25,13 @@ def even_words(dim: int) -> np.ndarray:
     return words[(np.bitwise_count(words) & 1) == 0]
 
 
-def odd_mask(dim: int) -> np.ndarray:
-    words = np.arange(1 << dim, dtype=np.uint32)
-    return (np.bitwise_count(words) & 1) == 1
-
-
 @dataclass(frozen=True)
 class DiscriminatingReport:
+    """Cover-set verdict over the odd vertices.  Witnesses: the smallest
+    uncovered odd vertex; the two smallest uncovered odd vertices if there
+    are two, else the two smallest members of the exact cover-set class
+    holding the smallest unseparated covered odd vertex (None if none)."""
+
     dim: int
     radius: int
     size: int
@@ -55,12 +55,8 @@ def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
     """Nonemptiness/distinctness of odd-vertex cover sets, with witnesses."""
     if radius % 2 == 0:
         raise ValueError("the property is defined for odd radii only")
-    if radius > code.dim:
-        raise ValueError(f"radius {radius} out of range for dim {code.dim}")
     words = _check_even(code)
-    nc, ns, uncovered, pair = _evaluate_static(
-        words, code.dim, radius, True, target_mask=odd_mask(code.dim)
-    )
+    nc, ns, uncovered, pair = _evaluate_static(words, code.dim, radius, True, odd_targets=True)
     return DiscriminatingReport(
         dim=code.dim,
         radius=radius,

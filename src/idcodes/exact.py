@@ -53,8 +53,6 @@ def is_separating(code: Code, k: int) -> bool:
     Vertices may go uncovered, but only one: two uncovered vertices would
     share the empty cover set.
     """
-    if not 0 <= k <= code.dim:
-        raise ValueError(f"radius {k} out of range for dim {code.dim}")
     return evaluate(code, k).ns == 0
 
 

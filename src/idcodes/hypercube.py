@@ -129,6 +129,11 @@ def annulus_offsets(n: int, lo: int, hi: int) -> np.ndarray:
     return arr
 
 
+def odd_mask(dim: int) -> np.ndarray:
+    """Boolean vector over F^dim, True at the odd-weight words."""
+    return (np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)) & 1) == 1
+
+
 def ball(x: BitVector, r: int) -> list[BitVector]:
     """All vectors within distance r of x (x included), weight layer by layer."""
     if not 0 <= r <= x.dim:
@@ -203,9 +208,11 @@ def full_space(dim: int) -> Code:
 def direct_sum(x_code: Code, y_code: Code) -> Code:
     """All concatenations u|v with u from the first code, v from the second."""
     _check_dim(x_code.dim + y_code.dim)
-    shift = y_code.dim
-    words = [(u << shift) | v for u in x_code.words for v in y_code.words]
-    out = Code.from_words(words, x_code.dim + y_code.dim)
+    u = np.array(x_code.words, dtype=np.int64)
+    v = np.array(y_code.words, dtype=np.int64)
+    # with both inputs sorted, the words u|v come out strictly increasing
+    words = ((u[:, None] << y_code.dim) | v).ravel()
+    out = Code(x_code.dim + y_code.dim, tuple(words.tolist()))
     assert len(out) == len(x_code) * len(y_code)
     return out
 

@@ -19,13 +19,16 @@ Two evaluation paths are provided and cross-checked in the test suite:
   that give the f-change of every addition, at O(2^n) per move.  This is
   what the local-search constructions iterate on.
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
-  one-shot verification of codes of any size.
+  one-shot verification up to dimension MAX_EVAL_DIM.
 
-Cover-set classes are keyed by fingerprint with an exact fallback: the
-table interns frozensets of slot indices (hash = fingerprint, equality =
-exact comparison), and the static path groups 64-bit scatter hashes and
-then confirms every group by direct set comparison, so a hash collision
-can never produce a wrong count.
+Cover-set classes are exact on both paths.  The table interns frozensets
+of slot indices (hash = fingerprint, equality = exact comparison).  The
+static path walks the ball offsets: each column codewords ^ offset is
+duplicate-free, so it scatters straight into a covered flag and a 64-bit
+XOR fingerprint per vertex.  One sort of the covered fingerprints finds
+the vertices that might share a cover set; a second pass over the
+offsets gives only those their exact cover sets, as sorted rows of
+codeword indices, and the rows decide every count.
 """
 
 from __future__ import annotations
@@ -35,11 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import Code, ball_offsets
+from .hypercube import Code, ball_offsets, odd_mask
 
 # Per-vertex tables get big fast; the incremental engine is meant for the
 # search sizes, not for bulk verification (use evaluate for that).
 MAX_TABLE_DIM = 20
+
+# The static evaluator's per-vertex arrays peak near 32 bytes a vertex, so
+# 2^24 take about half of a 1 GB budget; n = 22 (discriminating) fits.  A
+# failing code adds up to about 40 bytes per (vertex, covering codeword)
+# pair of its candidates, at most len(words) * V(n, r) pairs.
+MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
 _FP_SEED = 0x1DC0DE5
@@ -75,8 +84,6 @@ class SignatureTable:
     def __init__(self, dim: int, radius: int) -> None:
         if not 1 <= dim <= MAX_TABLE_DIM:
             raise ValueError(f"table dim must be in [1, {MAX_TABLE_DIM}]")
-        if not 0 <= radius <= dim:
-            raise ValueError(f"radius {radius} out of range for dim {dim}")
         self.dim = dim
         self.radius = radius
         n_verts = 1 << dim
@@ -321,95 +328,83 @@ class SignatureTable:
         assert self._word_mask.nonzero()[0].tolist() == self.words(), "stale codeword mask"
 
 
-def _exact_group_ns(words: np.ndarray, members: np.ndarray, n: int, r: int,
-                    want_pair: bool):
-    """Exact unseparated-pair count among `members` (all covered vertices).
-
-    Used to confirm fingerprint groups: compares true cover sets via a
-    boolean membership matrix, so equal fingerprints never get trusted.
-    """
-    diff = members[:, None] ^ words[None, :]
-    covered = np.bitwise_count(diff) <= r
-    packed = np.packbits(covered, axis=1)
-    view = packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
-    order = np.argsort(view, kind="stable")
-    sorted_view = view[order]
-    ns = 0
-    pair = None
-    start = 0
-    m = len(members)
-    for i in range(1, m + 1):
-        if i == m or sorted_view[i] != sorted_view[start]:
-            size = i - start
-            ns += _pairs(size)
-            if want_pair and pair is None and size >= 2:
-                pair = (int(members[order[start]]), int(members[order[start + 1]]))
-            start = i
-    return ns, pair
+def _marks(k: int) -> np.ndarray:
+    """k random odd 64-bit fingerprint marks, one per codeword."""
+    rng = np.random.Generator(np.random.PCG64(_FP_SEED))
+    return rng.integers(0, 2**63, size=k, dtype=np.uint64) | np.uint64(1)
 
 
 def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
-                     target_mask: np.ndarray | None = None):
-    """nc/ns over the target vertices (default: all of F^n), plus witnesses.
+                     odd_targets: bool = False):
+    """nc/ns over the target vertices (all of F^n, or its odd-weight half),
+    plus witnesses following ``diagnose``'s rule.
 
-    Scatter pass over codeword balls; classes grouped by (cover count,
-    64-bit fingerprint) and every nontrivial group confirmed exactly.
+    Per ball offset, the duplicate-free column words ^ offset takes one
+    fancy-indexed store into a covered flag and one XOR of the codewords'
+    random marks into a 64-bit fingerprint.  Equal cover sets give equal
+    fingerprints, so one sort that finds no repeat among the covered targets
+    (every identifying code) ends the pass.  Otherwise a second pass collects
+    the (vertex, codeword index) pairs of the candidates, at most
+    len(words) * V of them; sorted, they give each candidate's exact cover
+    set as a row, and np.unique over the rows of each length gives the
+    classes, so no count or witness rests on a fingerprint.
     """
+    if n > MAX_EVAL_DIM:
+        raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
     n_verts = 1 << n
-    offs = ball_offsets(n, r).astype(np.uint32)
-    idx = (words[:, None].astype(np.uint32) ^ offs[None, :]).ravel()
-    cover_count = np.zeros(n_verts, dtype=np.int64)
-    np.add.at(cover_count, idx, 1)
-    rng = np.random.Generator(np.random.PCG64(_FP_SEED))
-    marks = rng.integers(0, 2**63, size=len(words), dtype=np.uint64) | np.uint64(1)
+    offs = ball_offsets(n, r)
+    marks = _marks(len(words))
+    covered = np.zeros(n_verts, dtype=bool)
     fp = np.zeros(n_verts, dtype=np.uint64)
-    np.bitwise_xor.at(fp, idx, np.repeat(marks, len(offs)))
-
-    if target_mask is None:
-        in_target = np.ones(n_verts, dtype=bool)
-    else:
-        in_target = target_mask
-
-    empty_target = in_target & (cover_count == 0)
-    nc = int(empty_target.sum())
-    uncovered = None
-    if want_witnesses and nc:
-        uncovered = int(np.flatnonzero(empty_target)[0])
-
+    for off in offs:
+        col = words ^ off
+        covered[col] = True
+        fp[col] ^= marks
+    targets = odd_mask(n) if odd_targets else True
+    live = covered & targets
+    empty = ~covered & targets
+    nc = int(np.count_nonzero(empty))
     ns = _pairs(nc)  # the uncovered vertices form one exact class
-    pair = None
-    if want_witnesses and nc >= 2:
-        empties = np.flatnonzero(empty_target)
-        pair = (int(empties[0]), int(empties[1]))
-
-    # group covered target vertices by (cover count, fingerprint); any
-    # group of two or more gets its cover sets compared exactly
-    covered_idx = np.flatnonzero(in_target & (cover_count > 0))
-    cc = cover_count[covered_idx]
-    cf = fp[covered_idx]
-    order = np.lexsort((cf, cc))
-    cc = cc[order]
-    cf = cf[order]
-    verts = covered_idx[order]
-    boundary = np.flatnonzero((cc[1:] != cc[:-1]) | (cf[1:] != cf[:-1]))
-    starts = np.concatenate(([0], boundary + 1))
-    ends = np.concatenate((boundary + 1, [len(verts)]))
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        if e - s < 2:
-            continue
-        sub_ns, sub_pair = _exact_group_ns(
-            words, verts[s:e], n, r, want_witnesses and pair is None
-        )
-        ns += sub_ns
-        if pair is None and sub_pair is not None:
-            pair = sub_pair
+    uncovered = pair = None
+    if want_witnesses and nc:
+        uncovered = int(np.argmax(empty))
+        if nc >= 2:
+            pair = (uncovered, uncovered + 1 + int(np.argmax(empty[uncovered + 1:])))
+    fl = fp[live]
+    dup = np.sort(fl)
+    dup = dup[1:][dup[1:] == dup[:-1]]
+    if not len(dup):
+        return nc, ns, uncovered, pair
+    # candidates: the covered targets that share their low n fingerprint bits with a repeat
+    low = np.uint64(n_verts - 1)
+    bucket = np.zeros(n_verts, dtype=bool)
+    bucket[dup & low] = True
+    live[live] = bucket[fl & low]
+    found = []
+    for off in offs:
+        col = words ^ off
+        hit = np.flatnonzero(live[col]).astype(np.uint64)
+        found.append(col[hit].astype(np.uint64) << 32 | hit)
+    found = np.concatenate(found)
+    found.sort()
+    cand, start, size = np.unique(found >> 32, return_index=True, return_counts=True)
+    member = found.astype(np.uint32)  # the low half: the codeword index
+    label = np.empty(len(cand), dtype=np.int64)  # a class is a size and a row
+    for k in np.unique(size):
+        sel = size == k
+        _, inv = np.unique(member[start[sel, None] + np.arange(k)], axis=0, return_inverse=True)
+        label[sel] = inv.reshape(-1) * (len(offs) + 1) + k
+    _, inv, counts = np.unique(label, return_inverse=True, return_counts=True)
+    ns += int((counts * (counts - 1) // 2).sum())
+    if want_witnesses and pair is None:
+        shared = np.flatnonzero(counts[inv] >= 2)
+        if len(shared):
+            pair = tuple(int(v) for v in cand[inv == inv[shared[0]]][:2])
     return nc, ns, uncovered, pair
 
 
 def evaluate(code: Code, radius: int) -> Evaluation:
     """One-shot exact evaluation of f = nc + ns over all of F^n."""
-    if not 0 <= radius <= code.dim:
-        raise ValueError(f"radius {radius} out of range for dim {code.dim}")
     words = np.array(code.words, dtype=np.uint32)
     nc, ns, _, _ = _evaluate_static(words, code.dim, radius, False)
     return Evaluation(nc, ns, nc + ns)
@@ -428,9 +423,13 @@ class VerifyReport:
 
 
 def diagnose(code: Code, radius: int) -> VerifyReport:
-    """Evaluation plus witnesses: an uncovered vertex / an unseparated pair."""
-    if not 0 <= radius <= code.dim:
-        raise ValueError(f"radius {radius} out of range for dim {code.dim}")
+    """Evaluation plus canonical witnesses.
+
+    ``uncovered`` is the smallest uncovered vertex.  ``unseparated`` is the
+    two smallest uncovered vertices if there are at least two; otherwise
+    the two smallest members of the exact cover-set class holding the
+    smallest unseparated covered vertex.  Each is None when none exists.
+    """
     words = np.array(code.words, dtype=np.uint32)
     nc, ns, uncovered, pair = _evaluate_static(words, code.dim, radius, True)
     return VerifyReport(

@@ -9,6 +9,9 @@ implementations written here from scratch with different techniques:
 * ``bitmatrix_eval`` — numpy boolean membership matrix grouped through
   ``np.unique``, no fingerprints.
 
+``brute_report`` extends the brute force to odd-vertex targets and to the
+canonical witnesses that ``diagnose`` and ``discriminating_report`` report.
+
 The two oracles are also cross-checked against each other, so a mistake
 in any one implementation cannot silently define correctness.
 
@@ -43,6 +46,28 @@ def brute_eval(words, n, r):
     groups = Counter(cover.values())
     ns = sum(k * (k - 1) // 2 for k in groups.values())
     return nc, ns
+
+
+def brute_report(words, n, r, odd_only=False):
+    """(nc, ns, uncovered, unseparated) over all vertices, or only the odd
+    ones, straight from the cover sets.  The witnesses follow the canonical
+    rule: the smallest uncovered vertex; the two smallest uncovered ones if
+    there are two, else the two smallest members of the class holding the
+    smallest unseparated covered vertex."""
+    cover = brute_cover_sets(words, n, r)
+    verts = [v for v in range(1 << n) if not odd_only or bin(v).count("1") % 2]
+    empty = [v for v in verts if not cover[v]]
+    classes = {}
+    for v in verts:
+        if cover[v]:
+            classes.setdefault(cover[v], []).append(v)
+    ns = sum(k * (k - 1) // 2 for k in [len(empty)] + [len(c) for c in classes.values()])
+    shared = [c for c in classes.values() if len(c) >= 2]
+    if len(empty) >= 2:
+        pair = (empty[0], empty[1])
+    else:
+        pair = tuple(min(shared)[:2]) if shared else None
+    return len(empty), ns, (empty[0] if empty else None), pair
 
 
 def bitmatrix_eval(words, n, r):

@@ -13,6 +13,7 @@ from idcodes.codefile import (
     write_code_file,
 )
 from idcodes.exact import min_identifying
+from idcodes.signatures import MAX_EVAL_DIM
 
 from conftest import random_code
 
@@ -122,6 +123,12 @@ class TestCliVerify:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "/nonexistent/x.txt", "--r", "1"]) == 2
+
+    def test_dimension_beyond_eval_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"n={MAX_EVAL_DIM + 1} r=1\n0\n")
+        assert main(["verify", str(path), "--r", "1"]) == 2
+        assert f"exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM}" in capsys.readouterr().err
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

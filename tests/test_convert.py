@@ -9,11 +9,10 @@ from idcodes.convert import (
     discriminating_report,
     even_words,
     is_discriminating,
-    odd_mask,
     to_discriminating,
     to_identifying,
 )
-from idcodes.hypercube import append_parity, delete_coordinate
+from idcodes.hypercube import append_parity, delete_coordinate, odd_mask
 
 from conftest import brute_cover_sets, oracle_identifying, random_code
 

@@ -1,10 +1,17 @@
+import tracemalloc
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, full_space
+from idcodes import Code, full_space, signatures
+from idcodes.codefile import parse_code_text
+from idcodes.convert import discriminating_report
+from idcodes.extend import extend_c1
 from idcodes.signatures import (
+    MAX_EVAL_DIM,
     MAX_TABLE_DIM,
     Evaluation,
     SignatureTable,
@@ -15,6 +22,7 @@ from idcodes.signatures import (
 
 from conftest import (
     brute_cover_sets,
+    brute_report,
     class_counts,
     cover_set,
     full_add_delta_all,
@@ -106,6 +114,149 @@ class TestDiagnoseWitnesses:
             assert got == (want_nc + want_ns == 0)
             hits += got
         assert hits > 0  # the sample must exercise both outcomes
+
+
+def _random_words(rng, n, even=False):
+    """A random code of F^n (even-weight words only if asked), anywhere
+    from a single word to half the pool."""
+    pool = np.arange(1 << n)
+    if even:
+        pool = pool[(np.bitwise_count(pool) & 1) == 0]
+    k = int(rng.integers(1, len(pool) // 2 + 1))
+    return sorted(rng.choice(pool, size=k, replace=False).tolist())
+
+
+def _assert_real_witnesses(rep, words, n, r, odd_only=False):
+    cover = brute_cover_sets(words, n, r)
+    if rep.uncovered is not None:
+        assert not cover[rep.uncovered]
+    if rep.unseparated is not None:
+        a, b = rep.unseparated
+        assert a < b and cover[a] == cover[b]
+    if odd_only:
+        named = [rep.uncovered, *(rep.unseparated or ())]
+        assert all(bin(v).count("1") % 2 for v in named if v is not None)
+
+
+class TestCanonicalWitnesses:
+    """The witnesses equal the brute-force oracle's canonical choice."""
+
+    def test_diagnose(self, rng):
+        branches = set()
+        for _ in range(60):
+            n = int(rng.integers(3, 11))
+            r = int(rng.integers(1, 4))
+            words = _random_words(rng, n)
+            rep = diagnose(Code.from_words(words, n), r)
+            want = brute_report(words, n, r)
+            assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == want
+            branches.add("uncovered" if want[0] >= 2 else "class" if want[3] else "none")
+        assert {"uncovered", "class"} <= branches
+
+    def test_discriminating_report(self, rng):
+        branches = set()
+        for _ in range(40):
+            n = int(rng.integers(3, 11))
+            r = int(rng.choice([1, 3]))
+            words = _random_words(rng, n, even=True)
+            rep = discriminating_report(Code.from_words(words, n), r)
+            want = brute_report(words, n, r, odd_only=True)
+            assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == want
+            branches.add("uncovered" if want[0] >= 2 else "class" if want[3] else "none")
+        assert {"uncovered", "class"} <= branches
+
+
+class TestFingerprintCollisions:
+    """With every mark equal to one, a fingerprint is just the parity of the
+    cover count, so covered vertices collide wholesale and only the exact
+    cover-set rows can get the counts and witnesses right."""
+
+    @pytest.fixture(autouse=True)
+    def _flat_marks(self, monkeypatch):
+        monkeypatch.setattr(signatures, "_marks", lambda k: np.ones(k, dtype=np.uint64))
+
+    @pytest.mark.parametrize("odd_only", [False, True])
+    def test_counts_and_witnesses_stay_exact(self, odd_only, rng):
+        merged_classes = 0
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            r = int(rng.choice([1, 3])) if odd_only else int(rng.integers(1, 4))
+            words = _random_words(rng, n, even=odd_only)
+            code = Code.from_words(words, n)
+            want = brute_report(words, n, r, odd_only)
+            if odd_only:
+                rep = discriminating_report(code, r)
+            else:
+                rep = diagnose(code, r)
+                assert (rep.nc, rep.ns) == oracle_eval(words, n, r)
+                ev = evaluate(code, r)
+                assert (ev.nc, ev.ns) == (rep.nc, rep.ns)
+            assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == want
+            _assert_real_witnesses(rep, words, n, r, odd_only)
+            cover = brute_cover_sets(words, n, r)
+            targets = [v for v in range(1 << n)
+                       if cover[v] and (not odd_only or bin(v).count("1") % 2)]
+            parities = {len(cover[v]) % 2 for v in targets}
+            merged_classes += len({cover[v] for v in targets}) > len(parities)
+        assert merged_classes > 0  # the fingerprints alone would have been wrong
+
+
+class TestStaticLimits:
+    def test_dimension_beyond_limit_raises_before_allocating(self):
+        code = Code.from_words([0], MAX_EVAL_DIM + 1)
+        for call in (evaluate, diagnose, discriminating_report):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="MAX_EVAL_DIM"):
+                    call(code, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{call.__name__} allocated {peak} bytes first"
+
+    def test_sparse_failing_code_at_large_radius_stays_small(self, rng):
+        # 60 random words at (r, n) = (3, 14) leave thousands of vertices
+        # with a one-word cover set; rows of length V(14, 3) = 470 for every
+        # one of them would take about 50 MiB
+        n, r = 14, 3
+        words = sorted(rng.choice(1 << n, size=60, replace=False).tolist())
+        code = Code.from_words(words, n)
+        diagnose(Code.from_words([0, 1], n), r)  # warm the offset cache
+        tracemalloc.start()
+        try:
+            rep = diagnose(code, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ns > 10**6 and rep.unseparated is not None
+        # about 32 bytes a vertex plus 40 per (vertex, covering codeword) pair
+        assert peak < 2 * (32 * (1 << n) + 40 * len(words) * 470)
+
+    def test_discriminating_side_of_n21_is_admitted(self):
+        n = 22
+        rep = discriminating_report(Code.from_words([0], n), 1)
+        assert rep.nc == (1 << (n - 1)) - n  # only the weight-1 vertices are covered
+        assert (rep.uncovered, rep.unseparated) == (7, (7, 11))
+
+    def test_n20_extension_pass_then_fail(self):
+        text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
+        code = extend_c1(parse_code_text(text).code, 1, 11)
+        assert code.dim == 20
+        assert diagnose(code, 1).identifying
+        damaged = Code(20, code.words[:1000] + code.words[1001:])
+        rep = diagnose(damaged, 1)
+        assert not rep.identifying
+        assert rep.uncovered is not None or rep.unseparated is not None
+        words = np.array(damaged.words, dtype=np.int64)
+
+        def cover(v):
+            return words[np.bitwise_count(words ^ v) <= 1]
+
+        if rep.uncovered is not None:
+            assert len(cover(rep.uncovered)) == 0
+        if rep.unseparated is not None:
+            a, b = rep.unseparated
+            assert a != b and np.array_equal(cover(a), cover(b))
 
 
 class TestTableBuild:
