@@ -231,12 +231,11 @@ def plan_c2(
 
 def apply_plan(plan: ExtensionPlan) -> Code:
     """Carry out a plan and verify the result; returns the extended code."""
-    parts = direct_sum(plan.base, full_space(plan.p)).words
+    out = direct_sum(plan.base, full_space(plan.p))  # sorted and duplicate-free
     if plan.y_set:
-        ycode = Code(plan.base.dim, plan.y_set)
         patch = _nonzero_cube(plan.p) if plan.separ is None else plan.separ
-        parts = parts + direct_sum(ycode, patch).words
-    out = Code.from_words(parts, plan.out_dim)
+        patched = direct_sum(Code(plan.base.dim, plan.y_set), patch)
+        out = Code.from_words(out.words + patched.words, plan.out_dim)
     _verify_output(out, plan.out_radius)
     return out
 

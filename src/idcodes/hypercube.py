@@ -159,18 +159,21 @@ class Code:
         _check_dim(self.dim)
         if not self.words:
             raise ValueError("a code must be nonempty")
-        top = 1 << self.dim
-        prev = -1
-        for w in self.words:
-            if not 0 <= w < top:
+        arr = np.array(self.words)  # floats, strings, ints beyond 64 bits: no int dtype
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"words must be integers in [0, 2^{self.dim}), got {arr.dtype}")
+        if np.any(arr[1:] <= arr[:-1]):
+            raise ValueError("words must be strictly increasing")
+        for w in (arr[0], arr[-1]):
+            if not 0 <= w < 1 << self.dim:
                 raise ValueError(f"word {w} out of range for dim {self.dim}")
-            if w <= prev:
-                raise ValueError("words must be strictly increasing")
-            prev = w
 
     @classmethod
     def from_words(cls, words: Iterable[int], dim: int) -> "Code":
-        return cls(dim, tuple(sorted(set(words))))
+        arr = np.sort(np.array(list(words)))
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = arr[1:] != arr[:-1]
+        return cls(dim, tuple(arr[keep].tolist()))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[BitVector]) -> "Code":

@@ -12,6 +12,9 @@ implementations written here from scratch with different techniques:
 ``brute_report`` extends the brute force to odd-vertex targets and to the
 canonical witnesses that ``diagnose`` and ``discriminating_report`` report.
 
+``reference_parse`` is the per-token code-file reader that the vectorized
+``codefile.parse_code_text`` replaced; the parser tests compare against it.
+
 The two oracles are also cross-checked against each other, so a mistake
 in any one implementation cannot silently define correctness.
 
@@ -23,12 +26,14 @@ row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from idcodes import Code
+from idcodes.codefile import CodeFile, CodeFileError
 
 
 def brute_cover_sets(words, n, r):
@@ -139,6 +144,46 @@ def class_counts(table):
         if c > 0:
             out[key] = c
     return out
+
+
+_REFERENCE_HEADER = re.compile(r"^n=(\d+)\s+r=(\d+)$")
+
+
+def reference_parse(text):
+    """Line by line, token by token, with a set of the words seen so far.
+    Besides non-ASCII digits and dimensions above MAX_DIM, which it lets
+    through, it fixes the result, line number and message of every input."""
+    lines = text.splitlines()
+    dim = radius = None
+    words = []
+    seen = set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if dim is None:
+            m = _REFERENCE_HEADER.match(line)
+            if not m:
+                raise CodeFileError(line_no, f"expected 'n=<dim> r=<radius>', got {line!r}")
+            dim, radius = int(m.group(1)), int(m.group(2))
+            if dim < 1:
+                raise CodeFileError(line_no, "dim must be positive")
+            continue
+        for tok in line.split():
+            if not tok.isdigit():
+                raise CodeFileError(line_no, f"expected a decimal codeword, got {tok!r}")
+            word = int(tok)
+            if word >= (1 << dim):
+                raise CodeFileError(line_no, f"codeword {word} out of range for n={dim}")
+            if word in seen:
+                raise CodeFileError(line_no, f"duplicate codeword {word}")
+            seen.add(word)
+            words.append(word)
+    if dim is None:
+        raise CodeFileError(max(len(lines), 1), "missing header line 'n=<dim> r=<radius>'")
+    if not words:
+        raise CodeFileError(len(lines) or 1, "no codewords")
+    return CodeFile(Code(dim, tuple(sorted(words))), radius)
 
 
 def random_code(rng, n, kmin=2, kmax=None):

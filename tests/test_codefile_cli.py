@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code
 from idcodes.cli import main
@@ -13,9 +15,10 @@ from idcodes.codefile import (
     write_code_file,
 )
 from idcodes.exact import min_identifying
+from idcodes.hypercube import MAX_DIM
 from idcodes.signatures import MAX_EVAL_DIM
 
-from conftest import random_code
+from conftest import random_code, reference_parse
 
 
 class TestCodeFileFormat:
@@ -61,12 +64,16 @@ class TestCodeFileFormat:
         assert exc.value.line_no == 3
 
     def test_empty_and_headerless_inputs(self):
-        with pytest.raises(CodeFileError):
-            parse_code_text("")
-        with pytest.raises(CodeFileError):
-            parse_code_text("# only a comment\n")
-        with pytest.raises(CodeFileError):
-            parse_code_text("n=3 r=1\n# no words\n")
+        texts = ["", "# only a comment\n", "\n \n# c", "n=3 r=1\n# no words\n", "n=3 r=1\r\n\r\n"]
+        for text in texts:
+            with pytest.raises(CodeFileError) as want:
+                reference_parse(text)
+            with pytest.raises(CodeFileError) as got:
+                parse_code_text(text)
+            assert (got.value.line_no, got.value.message) == (
+                want.value.line_no,
+                want.value.message,
+            )
 
     def test_write_is_atomic_leaves_no_droppings(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -74,6 +81,78 @@ class TestCodeFileFormat:
         write_code_file(path, Code.from_words([0, 2], 3), 1)  # overwrite
         assert read_code_file(path).code.words == (0, 2)
         assert os.listdir(tmp_path) == ["c.txt"]
+
+    @pytest.mark.parametrize(
+        "text,line_no,message",
+        [
+            ("n=3 r=1\n\u00b2\n", 2, "expected a decimal codeword, got '\u00b2'"),
+            ("n=3 r=1\n\u0663\n", 2, "expected a decimal codeword, got '\u0663'"),
+            ("n=\u0663 r=1\n5\n", 1, "expected 'n=<dim> r=<radius>', got 'n=\u0663 r=1'"),
+            ("n=40 r=1\n5\n", 1, f"dim must be at most {MAX_DIM}"),
+        ],
+    )
+    def test_only_ascii_digits_and_dims_up_to_max_dim(self, text, line_no, message):
+        with pytest.raises(CodeFileError) as exc:
+            parse_code_text(text)
+        assert (exc.value.line_no, exc.value.message) == (line_no, message)
+
+
+# tokens that are not codewords; none is made of digits, none holds '#'
+_NOT_DIGITS = st.text("abx-+.\u00e90123456789", min_size=1, max_size=6).filter(
+    lambda t: not t.isdigit()
+)
+# every line break str.splitlines knows, and whitespace beyond ASCII
+_LINE_ENDS = ["\n", "\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85"]
+_LINE_ENDS += ["\u2028", "\u2029"]
+_SPACES = [" ", "\t", "  ", "\u00a0", "\x1f", "\u3000"]
+
+
+@st.composite
+def _code_texts(draw, bad_tokens):
+    """A code file in a random layout: comments, blank lines, several words
+    to a line, leading zeros, every kind of line end.  With bad_tokens,
+    that many bad tokens are put at random places among the words."""
+    n = draw(st.integers(1, 12))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True))
+    tokens = [str(w) for w in words]
+    for _ in range(bad_tokens):
+        kind = draw(st.sampled_from(["not digits", "out of range", "duplicate", "25 digits"]))
+        if kind == "not digits":
+            bad = draw(_NOT_DIGITS)
+        elif kind == "out of range":
+            bad = str(draw(st.integers(1 << n, (1 << n) + 100)))
+        elif kind == "duplicate":
+            bad = str(draw(st.sampled_from(words)))
+        else:
+            bad = str(draw(st.integers(10**24, 10**25 - 1)))
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    tokens = ["0" * draw(st.integers(0, 3)) + t for t in tokens]
+    lines = draw(st.lists(st.sampled_from(["", "   ", "# note", " # n=9 r=2"]), max_size=2))
+    lines.append(f"n={n} r={draw(st.integers(0, 5))}" + draw(st.sampled_from(["", " # header"])))
+    while tokens:
+        k = draw(st.integers(1, 4))
+        line = draw(st.sampled_from(_SPACES)).join(tokens[:k])
+        lines.append(line + draw(st.sampled_from(["", " ", " # 1 x"])))
+        del tokens[:k]
+        lines.extend(draw(st.lists(st.sampled_from(["", "# 7", "\t"]), max_size=1)))
+    text = "".join(line + draw(st.sampled_from(_LINE_ENDS)) for line in lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_code_texts(bad_tokens=0))
+    def test_well_formed_files(self, text):
+        assert parse_code_text(text) == reference_parse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda k: _code_texts(bad_tokens=k)))
+    def test_first_bad_token_sets_line_and_message(self, text):
+        with pytest.raises(CodeFileError) as want:
+            reference_parse(text)
+        with pytest.raises(CodeFileError) as got:
+            parse_code_text(text)
+        assert (got.value.line_no, got.value.message) == (want.value.line_no, want.value.message)
 
 
 @pytest.fixture()

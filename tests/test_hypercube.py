@@ -175,6 +175,16 @@ class TestCode:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Code(3, (0, 8))
+        with pytest.raises(ValueError):
+            Code(3, (-1, 2))
+        with pytest.raises(ValueError):  # not an OverflowError
+            Code(3, (0, 2**70))
+
+    def test_non_integer_words_rejected(self):
+        with pytest.raises(ValueError):
+            Code(3, (1.5, 2))
+        with pytest.raises(ValueError):
+            Code.from_words([2, 1.5], 3)
 
     def test_from_vectors_mixed_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idcodes import Code, full_space, signatures
-from idcodes.codefile import parse_code_text
+from idcodes.codefile import parse_code_text, read_code_file, write_code_file
 from idcodes.convert import discriminating_report
 from idcodes.extend import extend_c1
 from idcodes.signatures import (
@@ -238,25 +238,29 @@ class TestStaticLimits:
         assert rep.nc == (1 << (n - 1)) - n  # only the weight-1 vertices are covered
         assert (rep.uncovered, rep.unseparated) == (7, (7, 11))
 
-    def test_n20_extension_pass_then_fail(self):
+    def test_n20_extension_pass_then_fail(self, tmp_path):
         text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
-        code = extend_c1(parse_code_text(text).code, 1, 11)
-        assert code.dim == 20
-        assert diagnose(code, 1).identifying
-        damaged = Code(20, code.words[:1000] + code.words[1001:])
-        rep = diagnose(damaged, 1)
-        assert not rep.identifying
-        assert rep.uncovered is not None or rep.unseparated is not None
-        words = np.array(damaged.words, dtype=np.int64)
+        extended = extend_c1(parse_code_text(text).code, 1, 11)
+        write_code_file(tmp_path / "n20.txt", extended, 1)
+        back = read_code_file(tmp_path / "n20.txt").code
+        assert back == extended
+        for code in (extended, back):
+            assert code.dim == 20
+            assert diagnose(code, 1).identifying
+            damaged = Code(20, code.words[:1000] + code.words[1001:])
+            rep = diagnose(damaged, 1)
+            assert not rep.identifying
+            assert rep.uncovered is not None or rep.unseparated is not None
+            words = np.array(damaged.words, dtype=np.int64)
 
-        def cover(v):
-            return words[np.bitwise_count(words ^ v) <= 1]
+            def cover(v):
+                return words[np.bitwise_count(words ^ v) <= 1]
 
-        if rep.uncovered is not None:
-            assert len(cover(rep.uncovered)) == 0
-        if rep.unseparated is not None:
-            a, b = rep.unseparated
-            assert a != b and np.array_equal(cover(a), cover(b))
+            if rep.uncovered is not None:
+                assert len(cover(rep.uncovered)) == 0
+            if rep.unseparated is not None:
+                a, b = rep.unseparated
+                assert a != b and np.array_equal(cover(a), cover(b))
 
 
 class TestTableBuild:
