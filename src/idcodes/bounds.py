@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .hypercube import Code
+from .signatures import evaluate
 
 MIN_RADIUS = 1
 MAX_RADIUS = 5
@@ -301,8 +302,6 @@ def compare(code: Code, r: int) -> str:
     Raises ValueError when the code fails verification: comparing an
     unverified code against the table would be meaningless.
     """
-    from .signatures import evaluate
-
     ev = evaluate(code, r)
     if ev.f != 0:
         raise ValueError(

@@ -21,7 +21,7 @@ import sys
 from . import bounds as bounds_mod
 from . import codefile, convert, exact, extend, heuristics
 from .hypercube import Code
-from .signatures import diagnose
+from .signatures import diagnose, is_identifying
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -34,10 +34,6 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _bin(word: int, n: int) -> str:
     return format(word, f"0{n}b")
-
-
-def _read(path: str) -> codefile.CodeFile:
-    return codefile.read_code_file(path)
 
 
 def _write_or_print(args: argparse.Namespace, code: Code, radius: int, comments=()) -> None:
@@ -54,7 +50,7 @@ def _write_or_print(args: argparse.Namespace, code: Code, radius: int, comments=
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cf = _read(args.file)
+    cf = codefile.read_code_file(args.file)
     code, n, r = cf.code, cf.code.dim, args.r
     if args.discriminating:
         rep = convert.discriminating_report(code, r)
@@ -162,12 +158,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
-    cf = _read(args.file)
+    cf = codefile.read_code_file(args.file)
     r1 = args.r if args.r is not None else cf.radius
     try:
         if args.k is not None:
             separ = (
-                _read(args.separ).code
+                codefile.read_code_file(args.separ).code
                 if args.separ
                 else Code.from_words(range(1, 1 << args.p), args.p)
             )
@@ -204,7 +200,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    cf = _read(args.file)
+    cf = codefile.read_code_file(args.file)
     r = args.r if args.r is not None else cf.radius
     try:
         pruned = heuristics.prune(cf.code, r, restarts=args.restarts, seed=args.seed)
@@ -222,12 +218,10 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    cf = _read(args.file)
+    cf = codefile.read_code_file(args.file)
     r = args.r if args.r is not None else cf.radius
     code = cf.code
     if args.to == "discriminating":
-        from .signatures import is_identifying
-
         if not args.unchecked and not is_identifying(code, r):
             _emit(args, {"error": "input code is not identifying"}, ["FAIL: input not identifying"])
             return 1
@@ -236,8 +230,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         note = "parity-extended to the even-weight half"
     else:
         out = convert.to_identifying(code, pos=args.pos)
-        from .signatures import is_identifying
-
         ok = args.unchecked or is_identifying(out, r)
         note = "coordinate-deleted back to the full space"
     if not ok:
@@ -294,7 +286,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.compare:
         if args.r is None:
             raise UsageError("--compare needs --r")
-        cf = _read(args.compare)
+        cf = codefile.read_code_file(args.compare)
         try:
             verdict = bounds_mod.compare(cf.code, args.r)
         except ValueError as exc:

@@ -22,8 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypercube import Code, ball_offsets, ball_size
+from . import bounds
+from .hypercube import Code, ball_offsets, ball_size, odd_mask, permute_words
 from .signatures import evaluate
+
+# Largest n any exact search accepts, whatever its cap says.  The ball
+# bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader tables
+# (n! - 1) * 2^n words: as uint32, about 41 MB at n = 8 and 0.74 GB at n = 9.
+MAX_EXACT_DIM = 8
+# Partial codes are tested for lex-leadership while they have at most this
+# many words besides 0^n.
+_CANONICAL_DEPTH = 3
 
 
 class BudgetExhausted(Exception):
@@ -56,21 +65,6 @@ def is_separating(code: Code, k: int) -> bool:
     return evaluate(code, k).ns == 0
 
 
-def _perm_tables(n: int) -> list[list[int]]:
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        table = []
-        for w in range(1 << n):
-            img = 0
-            for q, p in enumerate(perm):
-                img |= ((w >> p) & 1) << q
-            table.append(img)
-        tables.append(table)
-    return tables
-
-
 class _Searcher:
     def __init__(
         self,
@@ -81,7 +75,6 @@ class _Searcher:
         allow_one_uncovered: bool,
         budget: int | None,
         canonical: bool,
-        canonical_depth: int = 3,
     ) -> None:
         self.n = n
         self.r = r
@@ -105,8 +98,11 @@ class _Searcher:
         self.targets = targets
         m = len(candidates)
         self.suffix = [(((1 << m) - 1) >> i) << i for i in range(m + 1)]
-        self.perms = _perm_tables(n) if canonical else []
-        self.canonical_depth = canonical_depth
+        self.perms = []
+        if canonical:
+            others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
+            perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
+            self.perms = permute_words(np.arange(1 << n), perms, n).tolist()
 
     def _feasible(self, classes: list[int], uncov: int, remaining: int, rmask: int) -> bool:
         limit = 1 << remaining
@@ -182,7 +178,7 @@ class _Searcher:
             if fresh.bit_count() >= 2:
                 new_classes.append(fresh)
             new_words = words + (self.cands[j],)
-            if self.perms and len(new_words) - 1 <= self.canonical_depth:
+            if self.perms and len(new_words) - 1 <= _CANONICAL_DEPTH:
                 if not self._canonical(new_words):
                     continue
             hit = self._dfs(j + 1, new_words, new_classes, uncov & ~ball, remaining - 1)
@@ -192,29 +188,40 @@ class _Searcher:
 
     def search_size(self, size: int):
         """One feasibility run; words include the fixed 0^n."""
-        if size < 1 or size > len(self.cands):
-            return None
         ball0 = self.ballmask[0]
         classes = [ball0] if ball0.bit_count() >= 2 else []
         uncov = self.targets & ~ball0
         return self._dfs(1, (0,), classes, uncov, size - 1)
 
 
+def _check_cap(n: int, cap: int) -> None:
+    cap = min(cap, MAX_EXACT_DIM)
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the exhaustive cap {cap}")
+
+
 def _run_min_search(
     n: int,
     r: int,
-    candidates: list[int],
-    targets: int,
+    candidates: np.ndarray,
+    targets: np.ndarray,
     allow_one_uncovered: bool,
     start_size: int,
     budget: int | None,
-    canonical: bool,
+    canonical: bool | None,
 ) -> SearchOutcome:
+    """Ascend sizes from start_size; candidates and targets are boolean masks over F^n."""
+    words = np.flatnonzero(candidates).tolist()
+    if not 1 <= start_size <= len(words):
+        raise ValueError(f"start_size {start_size} outside [1, {len(words)}]")
+    target_bits = int.from_bytes(np.packbits(targets, bitorder="little").tobytes(), "little")
+    if canonical is None:
+        canonical = n <= 5
     searcher = _Searcher(
-        n, r, candidates, targets, allow_one_uncovered, budget, canonical
+        n, r, words, target_bits, allow_one_uncovered, budget, canonical
     )
     infeasible = []
-    for size in range(start_size, len(candidates) + 1):
+    for size in range(start_size, len(words) + 1):
         try:
             hit = searcher.search_size(size)
         except BudgetExhausted:
@@ -239,15 +246,6 @@ def _run_min_search(
     raise AssertionError("the full candidate set always satisfies the property")
 
 
-def _registry_lower(r: int, n: int) -> int | None:
-    from . import bounds
-
-    try:
-        return bounds.lookup(r, n).lower
-    except KeyError:
-        return None
-
-
 def min_identifying(
     r: int,
     n: int,
@@ -262,16 +260,15 @@ def min_identifying(
         raise ValueError("radius must be at least 1")
     if r >= n:
         raise ValueError(f"no identifying code exists for r={r}, n={n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the exhaustive cap {cap}")
+    _check_cap(n, cap)
     if start_size is None:
-        start_size = _registry_lower(r, n) or 1
-    if canonical is None:
-        canonical = n <= 5
-    candidates = list(range(1 << n))
-    targets = (1 << (1 << n)) - 1
+        try:
+            start_size = bounds.lookup(r, n).lower
+        except KeyError:
+            start_size = 1
+    everything = np.ones(1 << n, dtype=bool)
     return _run_min_search(
-        n, r, candidates, targets, False, start_size, budget, canonical
+        n, r, everything, everything, False, start_size, budget, canonical
     )
 
 
@@ -286,18 +283,12 @@ def min_separating(
     The result size is checked against the bracket [M_k(p) - 1, M_k(p)]
     whenever the registry knows M_k(p) exactly.
     """
-    if p > 5:
-        raise ValueError(f"p={p} exceeds the exhaustive cap 5")
+    _check_cap(p, 5)
     if not 0 <= k <= p - 1:
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
-    if canonical is None:
-        canonical = True
-    candidates = list(range(1 << p))
-    targets = (1 << (1 << p)) - 1
-    outcome = _run_min_search(p, k, candidates, targets, True, 1, budget, canonical)
+    everything = np.ones(1 << p, dtype=bool)
+    outcome = _run_min_search(p, k, everything, everything, True, 1, budget, canonical)
     if outcome.size is not None:
-        from . import bounds
-
         try:
             record = bounds.lookup(k, p)
         except KeyError:
@@ -326,16 +317,8 @@ def min_discriminating(
         raise ValueError("the property is defined for odd radii only")
     if not 1 <= r <= n:
         raise ValueError(f"radius {r} out of range for dim {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the exhaustive cap {cap}")
-    if canonical is None:
-        canonical = n <= 5
-    words = np.arange(1 << n, dtype=np.uint32)
-    parities = np.bitwise_count(words) & 1
-    candidates = [int(w) for w in words[parities == 0]]
-    targets = 0
-    for w in words[parities == 1].tolist():
-        targets |= 1 << w
+    _check_cap(n, cap)
+    odd = odd_mask(n)
     return _run_min_search(
-        n, r, candidates, targets, False, start_size or 1, budget, canonical
+        n, r, ~odd, odd, False, 1 if start_size is None else start_size, budget, canonical
     )

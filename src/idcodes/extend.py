@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypercube import BitVector, Code, annulus_offsets, direct_sum, full_space
+from .exact import is_separating
+from .hypercube import Code, annulus_offsets, direct_sum, full_space
 from .signatures import diagnose, evaluate
 
 
@@ -39,10 +40,10 @@ class VerificationFailed(ExtensionError):
     """Raised when an input or output code fails its property check."""
 
 
-def _as_words(xs: Iterable[BitVector | int], n: int) -> list[int]:
+def _as_words(xs: Iterable[int], n: int) -> list[int]:
     words = []
     for x in xs:
-        w = x.word if isinstance(x, BitVector) else int(x)
+        w = int(x)
         if not 0 <= w < (1 << n):
             raise ValueError(f"vertex {w} out of range for dim {n}")
         words.append(w)
@@ -75,9 +76,7 @@ def compute_x_set(code: Code, r1: int, p: int, r2: int = 0) -> tuple[int, ...]:
     return tuple(np.flatnonzero(counts == 0).tolist())
 
 
-def cover_annulus(
-    xset: Iterable[BitVector | int], lo: int, hi: int, n: int
-) -> tuple[int, ...]:
+def cover_annulus(xset: Iterable[int], lo: int, hi: int, n: int) -> tuple[int, ...]:
     """Greedy cover: pick vertices seeing the most uncovered X-members in [lo, hi].
 
     Returns the chosen words, sorted.  Ties go to the smallest word, so
@@ -215,8 +214,6 @@ def plan_c2(
     _check_ranges(r1, p, r2, k, force)
     if separ.dim != p:
         raise ExtensionError(f"separating factor lives in F^{separ.dim}, expected F^{p}")
-    from .exact import is_separating
-
     if not is_separating(separ, k):
         raise VerificationFailed(f"factor code is not {k}-separating in F^{p}")
     _verify_base(code, r1)

@@ -68,15 +68,9 @@ def parity(x: BitVector) -> int:
     return x.word.bit_count() & 1
 
 
-def concat(x: BitVector, y: BitVector) -> BitVector:
-    """x followed by y; x occupies the high coordinates."""
-    _check_dim(x.dim + y.dim)
-    return BitVector((x.word << y.dim) | y.word, x.dim + y.dim)
-
-
 def append_parity(x: BitVector) -> BitVector:
     """x with its parity bit appended; the result always has even weight."""
-    return concat(x, BitVector(parity(x), 1))
+    return BitVector((x.word << 1) | parity(x), x.dim + 1)
 
 
 def delete_coordinate(x: BitVector, pos: int) -> BitVector:
@@ -175,19 +169,6 @@ class Code:
         keep[1:] = arr[1:] != arr[:-1]
         return cls(dim, tuple(arr[keep].tolist()))
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[BitVector]) -> "Code":
-        vecs = list(vectors)
-        if not vecs:
-            raise ValueError("a code must be nonempty")
-        dims = {v.dim for v in vecs}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dimensions in code: {sorted(dims)}")
-        return cls.from_words((v.word for v in vecs), dims.pop())
-
-    def vectors(self) -> list[BitVector]:
-        return [BitVector(w, self.dim) for w in self.words]
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -220,12 +201,22 @@ def direct_sum(x_code: Code, y_code: Code) -> Code:
     return out
 
 
-def _permute_word(word: int, perm: Sequence[int], dim: int) -> int:
-    # perm[i-1] = 1-based source position landing at output position i
-    out = 0
-    for i, src in enumerate(perm, start=1):
-        bit = (word >> (dim - src)) & 1
-        out |= bit << (dim - i)
+def permute_words(words, perms, dim: int) -> np.ndarray:
+    """Coordinate permutations of a 1-D word array, broadcast over permutations.
+
+    perms has shape (..., dim) and lists 1-based source positions: output
+    coordinate i is input coordinate perm[i-1].  The result has shape
+    perms.shape[:-1] + (len(words),), dtype uint32.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    perms = np.asarray(perms)
+    if perms.shape[-1:] != (dim,) or np.any(np.sort(perms, axis=-1) != np.arange(1, dim + 1)):
+        raise ValueError("perm must be a permutation of 1..dim")
+    # one shift per output coordinate: the bit its source coordinate sits at
+    shifts = np.moveaxis(dim - perms, -1, 0).astype(np.uint32)[..., None]
+    out = np.zeros(perms.shape[:-1] + words.shape, dtype=np.uint32)
+    for i, shift in enumerate(shifts):
+        out |= ((words >> shift) & 1) << np.uint32(dim - 1 - i)
     return out
 
 
@@ -237,7 +228,5 @@ def apply_isometry(code: Code, translate: BitVector, perm: Sequence[int]) -> Cod
     """
     if translate.dim != code.dim:
         raise ValueError("translate dimension does not match code")
-    if sorted(perm) != list(range(1, code.dim + 1)):
-        raise ValueError("perm must be a permutation of 1..dim")
-    words = [_permute_word(w, perm, code.dim) ^ translate.word for w in code.words]
-    return Code.from_words(words, code.dim)
+    words = permute_words(code.words, perm, code.dim) ^ np.uint32(translate.word)
+    return Code.from_words(words.tolist(), code.dim)

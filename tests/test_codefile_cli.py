@@ -349,6 +349,11 @@ class TestCliExactAndBounds:
     def test_exact_cap_guard(self, capsys):
         assert main(["exact", "--r", "1", "--n", "9"]) == 2
 
+    def test_exact_dimension_ceiling(self, capsys):
+        # refused before any allocation, whatever --cap says
+        assert main(["exact", "--r", "1", "--n", "20", "--cap", "20"]) == 2
+        assert "exhaustive cap" in capsys.readouterr().err
+
     def test_bounds_check(self, capsys):
         assert main(["bounds", "--check"]) == 0
         assert "0 failures" in capsys.readouterr().out

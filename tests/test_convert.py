@@ -12,7 +12,7 @@ from idcodes.convert import (
     to_discriminating,
     to_identifying,
 )
-from idcodes.hypercube import append_parity, delete_coordinate, odd_mask
+from idcodes.hypercube import BitVector, append_parity, delete_coordinate, odd_mask
 
 from conftest import brute_cover_sets, oracle_identifying, random_code
 
@@ -122,10 +122,11 @@ class TestBijectionProperty:
     @given(codes())
     def test_parity_bijection(self, code):
         disc = to_discriminating(code)
-        assert disc == Code.from_vectors(append_parity(v) for v in code.vectors())
+        want = (append_parity(BitVector(w, code.dim)).word for w in code.words)
+        assert disc == Code.from_words(want, code.dim + 1)
         for pos in range(1, disc.dim + 1):
-            want = Code.from_vectors(delete_coordinate(v, pos) for v in disc.vectors())
-            assert to_identifying(disc, pos) == want
+            want = (delete_coordinate(BitVector(w, disc.dim), pos).word for w in disc.words)
+            assert to_identifying(disc, pos) == Code.from_words(want, code.dim)
         assert to_identifying(disc) == code
         for r in (1, 3):
             if r < code.dim:

@@ -1,0 +1,48 @@
+"""The documentation runs: every demo script, and the README quickstart.
+
+A name removed from the package cannot silently break the docs.  Each
+``print`` line of the README's Python quickstart carries its expected
+output as a ``#`` comment; a comment ending in ``...`` is matched only up
+to the ellipsis.
+"""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_output():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quickstart \(library\)\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = buf.getvalue().splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if "..." in want:
+            assert got.startswith(want.split("...")[0]), (got, want)
+        else:
+            assert got == want

@@ -5,6 +5,7 @@ import pytest
 from idcodes import Code, evaluate, is_identifying
 from idcodes.convert import is_discriminating
 from idcodes.exact import (
+    MAX_EXACT_DIM,
     SearchOutcome,
     is_separating,
     min_discriminating,
@@ -221,6 +222,42 @@ class TestMinDiscriminating:
             min_discriminating(1, 7)  # above the cap
         with pytest.raises(ValueError):
             min_discriminating(5, 4)  # radius beyond dim
+
+
+class TestSearchGuards:
+    def test_start_size_out_of_range(self):
+        # no size beyond the candidate count exists, and size 0 must never
+        # be reported as proved infeasible
+        for start_size in (0, 9, 100):
+            with pytest.raises(ValueError, match="start_size"):
+                min_identifying(1, 3, start_size=start_size)
+        for start_size in (0, 9):  # F^4 has 8 even candidates
+            with pytest.raises(ValueError, match="start_size"):
+                min_discriminating(1, 4, start_size=start_size)
+
+    def test_dimension_ceiling_overrides_cap(self):
+        n = MAX_EXACT_DIM + 1
+        with pytest.raises(ValueError, match="exhaustive cap"):
+            min_identifying(1, n, cap=n)
+        with pytest.raises(ValueError, match="exhaustive cap"):
+            min_discriminating(1, n, cap=n)
+
+
+class TestCanonicalPruning:
+    # lex-leader pruning is on by default for n <= 5; the node counts pin
+    # the permutation tables it walks
+    @pytest.mark.parametrize(
+        "search,args,nodes",
+        [
+            (min_identifying, (1, 5), 4949),
+            (min_identifying, (3, 5), 15419),
+            (min_separating, (5, 1), 17212),
+            (min_separating, (5, 3), 16167),
+            (min_discriminating, (1, 5), 182),
+        ],
+    )
+    def test_node_counts(self, search, args, nodes):
+        assert search(*args).nodes == nodes
 
 
 class TestOutcomeShape:

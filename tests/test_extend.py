@@ -15,7 +15,6 @@ from idcodes.extend import (
     plan_c2,
 )
 from idcodes.heuristics import greedy_construct
-from idcodes.hypercube import BitVector
 
 from conftest import random_code
 
@@ -116,11 +115,6 @@ class TestCoverAnnulus:
         a = cover_annulus(xs, 1, 2, 6)
         b = cover_annulus(list(reversed(xs)), 1, 2, 6)
         assert a == b
-
-    def test_accepts_bitvectors(self):
-        xs = [BitVector(3, 4), BitVector(12, 4)]
-        ys = cover_annulus(xs, 1, 1, 4)
-        assert ys and ys == cover_annulus([3, 12], 1, 1, 4)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import (
     BitVector,
@@ -20,9 +23,9 @@ from idcodes.hypercube import (
     annulus_offsets,
     append_parity,
     ball_offsets,
-    concat,
     delete_coordinate,
     parity,
+    permute_words,
 )
 
 from conftest import oracle_identifying
@@ -44,8 +47,8 @@ class TestBitVector:
         assert parity(BitVector(0b1011, 4)) == 1
         assert parity(BitVector(0b1001, 4)) == 0
 
-    def test_concat_and_append_parity(self):
-        assert concat(BitVector(0b10, 2), BitVector(0b1, 1)) == BitVector(0b101, 3)
+    def test_append_parity(self):
+        assert append_parity(BitVector(0b10, 2)) == BitVector(0b101, 3)
         for w in range(16):
             v = append_parity(BitVector(w, 4))
             assert v.dim == 5
@@ -186,10 +189,6 @@ class TestCode:
         with pytest.raises(ValueError):
             Code.from_words([2, 1.5], 3)
 
-    def test_from_vectors_mixed_dims_rejected(self):
-        with pytest.raises(ValueError):
-            Code.from_vectors([BitVector(0, 3), BitVector(0, 4)])
-
     def test_full_space(self):
         c = full_space(4)
         assert len(c) == 16
@@ -231,3 +230,54 @@ class TestIsometry:
         c = Code.from_words([0, 1], 3)
         with pytest.raises(ValueError):
             apply_isometry(c, BitVector(0, 3), [1, 1, 2])
+        with pytest.raises(ValueError):
+            apply_isometry(c, BitVector(0, 3), [1, 2])
+
+
+def reference_permute(word, perm, dim):
+    """The per-word loop that ``permute_words`` replaced, kept as its reference."""
+    out = 0
+    for i, src in enumerate(perm, start=1):
+        bit = (word >> (dim - src)) & 1
+        out |= bit << (dim - i)
+    return out
+
+
+@st.composite
+def isometries(draw):
+    n = draw(st.integers(1, 7), label="n")
+    words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 24)))
+    perm = draw(st.permutations(range(1, n + 1)))
+    translate = draw(st.integers(0, (1 << n) - 1))
+    return Code.from_words(words, n), list(perm), BitVector(translate, n)
+
+
+class TestPermuteWords:
+    @settings(max_examples=100, deadline=None)
+    @given(isometries())
+    def test_matches_reference(self, iso):
+        code, perm, _ = iso
+        got = permute_words(code.words, perm, code.dim)
+        assert got.tolist() == [reference_permute(w, perm, code.dim) for w in code.words]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_broadcasts_over_permutations(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        words = np.arange(1 << n)
+        got = permute_words(words, perms, n)
+        assert got.shape == (len(perms), 1 << n) and got.dtype == np.uint32
+        for row, perm in zip(got.tolist(), perms):
+            assert row == [reference_permute(w, perm, n) for w in range(1 << n)]
+        assert permute_words(words, np.empty((0, n), dtype=int), n).shape == (0, 1 << n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(isometries())
+    def test_isometry_preserves_distances_and_identifying(self, iso):
+        code, perm, translate = iso
+        moved = apply_isometry(code, translate, perm)
+        assert len(moved) == len(code)
+        before = sorted((a ^ b).bit_count() for a in code for b in code)
+        after = sorted((a ^ b).bit_count() for a in moved for b in moved)
+        assert before == after
+        for r in range(1, code.dim):
+            assert is_identifying(moved, r) == is_identifying(code, r)
