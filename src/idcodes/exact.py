@@ -312,11 +312,14 @@ def min_discriminating(
 ) -> SearchOutcome:
     """Minimum r-discriminating code in F^n (r odd, codewords even,
     odd vertices identified).  Sizes ascend from start_size (default 1),
-    so the result is independent of the identifying tables."""
+    so the result is independent of the identifying tables.  For n >= 2
+    a code exists only when r <= n - 2."""
     if r % 2 == 0:
         raise ValueError("the property is defined for odd radii only")
     if not 1 <= r <= n:
         raise ValueError(f"radius {r} out of range for dim {n}")
+    if 2 <= n < r + 2:
+        raise ValueError(f"no {r}-discriminating code exists for n={n}: need r <= n - 2")
     _check_cap(n, cap)
     odd = odd_mask(n)
     return _run_min_search(

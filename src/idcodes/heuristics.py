@@ -146,32 +146,23 @@ class _NoisingRun:
 
     def _visit(self, slot: int, rho: float) -> None:
         table = self.table
-        f_before = table.f
-        m_word = table.remove_slot(slot)
-        d_remove = table.f - f_before
-        totals = d_remove + table.add_delta_all()
+        totals = table.swap_deltas(slot)
         allowed = ~table.word_mask
-        allowed[m_word] = False
 
         big = np.iinfo(np.int64).max
         masked = np.where(allowed, totals, big)
         s0 = int(np.argmin(masked))
         self.iterations += 1
-        if masked[s0] < 0:
-            table.add(s0)
-        elif rho > 0.0:
+        if masked[s0] >= 0:
+            if rho <= 0.0:
+                return  # zero noise and no improving swap: nothing can be accepted
             noise = totals + rho * self._ln_uniform(1 << self.n)
             noisy = np.where(allowed, noise, np.inf)
             s0 = int(np.argmin(noisy))
-            if noisy[s0] < 0.0:
-                table.add(s0)
-            else:
-                table.add(m_word)
-                return
-        else:
-            # zero noise and no improving swap: nothing can be accepted
-            table.add(m_word)
-            return
+            if noisy[s0] >= 0.0:
+                return  # rejected: the table was never touched
+        table.remove_slot(slot)
+        table.add(s0)  # into the freed slot (LIFO reuse)
         self.trace.append(table.f)
         self.best_f = min(self.best_f, table.f)
         if table.f == 0:
@@ -213,9 +204,10 @@ def noising_search(
     """Randomized swap search for an r-identifying code in F^n.
 
     Starts from a uniformly random code of ``params.target_size`` words.
-    Each visit removes the current codeword m of the cycle and scores
-    every replacement s outside the code by the exact f-change of the
-    swap.  A strictly improving swap (minimum delta < 0) is always taken;
+    Each visit scores every replacement s outside the code for the
+    current codeword m of the cycle by the exact f-change of the swap,
+    without touching the table; only an accepted swap mutates it.  A
+    strictly improving swap (minimum delta < 0) is always taken;
     otherwise the candidate minimizing delta + rho * ln(R) is taken only
     if that noisy score is negative, with R drawn fresh per candidate.
     Identifying codes found along the way are recorded and the search

@@ -15,8 +15,9 @@ Two evaluation paths are provided and cross-checked in the test suite:
 
 * ``SignatureTable`` — a mutable table updated ball by ball under codeword
   addition and removal, with one exact intern per distinct class.
-  Once asked for ``add_delta_all`` it also keeps three per-word vectors
-  that give the f-change of every addition, at O(2^n) per move.  This is
+  Once asked for a score it keeps three per-word vectors that give the
+  f-change of every addition (``add_delta_all``) or swap of one codeword
+  (``swap_deltas``, which mutates nothing), at O(2^n) per move.  This is
   what the local-search constructions iterate on.
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
   one-shot verification up to dimension MAX_EVAL_DIM.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -51,6 +53,7 @@ MAX_TABLE_DIM = 20
 MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
+_NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
 
 
@@ -95,7 +98,7 @@ class SignatureTable:
         self._count = np.zeros(8, dtype=np.int64)
         self._count[_EMPTY_ID] = n_verts
         self._free_ids: list[int] = []
-        self._next_id = 1
+        self._next_id = 2
         self._slots: list[int | None] = []
         self._free_slots: list[int] = []
         self._word_slot: dict[int, int] = {}
@@ -103,7 +106,8 @@ class SignatureTable:
         self._word_mask = np.zeros(n_verts, dtype=bool)
         self.word_mask = self._word_mask.view()  # read-only, True at the codewords
         self.word_mask.flags.writeable = False
-        self._delta = None  # (T0, Cn, Q) per candidate word, from the first add_delta_all on
+        self._delta = None  # (T0, Cn, Q) per candidate word, from the first score on
+        self._after = {}  # {slot: (T0, Cn, Q) without it} from swap_deltas, until a mutation
 
     # -- construction ------------------------------------------------------
 
@@ -172,8 +176,9 @@ class SignatureTable:
         self._count[cid] = 0
         return cid
 
-    def _move_ball(self, word: int, slot: int, sign: int) -> None:
+    def _move_ball(self, word: int, slot: int, sign: int):
         """Move B(word) from each class K to K | {slot} (sign +1) or K - {slot} (-1)."""
+        self._after = {}
         ball = self._offsets ^ np.uint32(word)
         group: dict[int, int] = {}
         inv = np.array([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()])
@@ -191,9 +196,7 @@ class SignatureTable:
         self.ns += int(moved @ (joined - left))
         self._count[new] += moved
         self._key_id[ball] = new[inv]
-        if self._delta is not None:  # with classes as they are without `word`
-            base, outside = (old, left) if sign > 0 else (new, joined)
-            self._track(ball, inv, base, moved, outside, sign)
+        return ball, inv, old, moved, left
 
     # -- mutations ---------------------------------------------------------
 
@@ -211,12 +214,16 @@ class SignatureTable:
             self._slots.append(word)
         self._word_slot[word] = slot
         self._word_mask[word] = True
-        self._move_ball(word, slot, 1)
+        ball, inv, old, moved, left = self._move_ball(word, slot, 1)
+        if self._delta is not None:  # the old classes are those of the table without `word`
+            self._delta = tuple(map(np.add, self._delta, self._terms(ball, inv, old, moved, left)))
         return slot
 
     def remove_slot(self, slot: int) -> int:
         """Remove the codeword in this slot; returns its word."""
         word = self.word_at(slot)
+        if self._delta is not None:  # as swap_deltas(slot) left them, or afresh
+            self._delta = self._after.get(slot) or self._without(slot)[2]
         self._move_ball(word, slot, -1)
         self._slots[slot] = None
         del self._word_slot[word]
@@ -240,8 +247,25 @@ class SignatureTable:
         """
         if self._delta is None:
             self._start_tracking()
-        t0, cn, q = self._delta
-        return len(self._offsets) + 2 * q - cn + t0 * (t0 - self.nc - 2)
+        return self._add_deltas(*self._delta, self.nc)
+
+    def swap_deltas(self, slot: int) -> np.ndarray:
+        """f(C - m + s) - f(C) for each word s, m the codeword in `slot`.
+
+        The table is not touched: remove_delta plus the add_delta_all
+        formula over T0, Cn, Q and nc as they would be without m, which
+        are computed out of place.  Entries at current codewords, m
+        included, are meaningless; mask them out.  A remove_slot(slot)
+        before any other mutation takes over those vectors.
+        """
+        if self._delta is None:
+            self._start_tracking()
+        d_remove, nc, after = self._without(slot)
+        self._after = {slot: after}
+        return d_remove + self._add_deltas(*after, nc)
+
+    def _add_deltas(self, t0, cn, q, nc: int) -> np.ndarray:
+        return len(self._offsets) + 2 * q - cn + t0 * (t0 - nc - 2)
 
     def _spread(self, verts: np.ndarray, weights=1) -> np.ndarray:
         """out[s] = sum of weights[i] (default 1) over the verts[i] in B(s)."""
@@ -259,15 +283,15 @@ class SignatureTable:
             replay.add(word)
         self._delta = replay._delta
 
-    def _track(self, ball, inv, base, k1, k2, sign: int) -> None:
-        """Carry (T0, Cn, Q) across one add (+1) or removal (-1).
+    def _terms(self, ball, inv, base, k1, k2):
+        """What one codeword adds to (T0, Cn, Q); a removal subtracts it.
 
         ball[i] is in class base[inv[i]] of the table without the codeword;
-        class j has k1[j] members in the ball and k2[j] outside it.  The
+        class j has k1[j] members in the ball and k2[j] outside it, and no
+        vertex outside the ball holds base[j] unless k2[j] > 0.  The
         codeword splits each nonempty class into those two parts and gives
         the uncovered vertices of its ball a class of their own.
         """
-        t0, cn, q = self._delta
         covered = base != _EMPTY_ID
         in_covered = covered[inv]
         fresh = ball[~in_covered]
@@ -282,34 +306,45 @@ class SignatureTable:
         # versa; the fresh ones gain each other
         t = self._spread(fresh)
         shrunk = self._spread(np.concatenate((inside, outside)), np.concatenate((k2[ji], k1[jo])))
-        cn += sign * (len(fresh) * t - shrunk)
         # pairs across the ball's boundary stop sharing a class, pairs of
         # formerly uncovered vertices start sharing one
         ia, ib = (ji[:, None] == jo).nonzero()
         s = inside[ia, None] ^ self._offsets
-        cross = np.bincount(s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], minlength=len(q))
-        t0 -= sign * t
-        q += sign * (t * (t - 1) // 2 - cross)
+        cross = np.bincount(s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], minlength=len(t))
+        return -t, len(fresh) * t - shrunk, t * (t - 1) // 2 - cross
+
+    def _removal(self, slot: int):
+        """remove_delta(slot) and the vertices it uncovers; then B(m) for the
+        codeword m in `slot`, the class ids of its vertices, and per class K
+        among them |K| and the id and size of K - {slot}.
+
+        Every vertex whose cover set holds `slot` lies in B(m), so K sits
+        inside the ball and merges with K - {slot} outside it: |K| times
+        |K - {slot}| new pairs, and |K| uncovered vertices if K - {slot} is
+        empty.  A K - {slot} that is no class yet gets the id _NO_ID and
+        size 0.  Plain Python values: prune asks for thousands of balls.
+        """
+        ball = self._offsets ^ np.uint32(self.word_at(slot))
+        ids = self._key_id[ball].tolist()
+        moved = Counter(ids)
+        keys, get, drop = self._keys, self._ids.get, {slot}
+        target = [get(keys[cid] - drop, _NO_ID) for cid in moved]
+        size, k = self._count[target].tolist(), list(moved.values())
+        gone = k[target.index(_EMPTY_ID)] if _EMPTY_ID in target else 0
+        return sum(map(mul, k, size)) + gone, gone, ball, ids, moved, target, size
+
+    def _without(self, slot: int):
+        """remove_delta(slot), and nc and (T0, Cn, Q) after that removal."""
+        delta, gone, ball, ids, moved, target, size = self._removal(slot)
+        index = {cid: j for j, cid in enumerate(moved)}
+        k1, base, k2 = (np.array(v) for v in (list(moved.values()), target, size))
+        terms = self._terms(ball, np.array([index[cid] for cid in ids]), base, k1, k2)
+        return delta, self.nc + gone, tuple(map(np.subtract, self._delta, terms))
 
     def remove_delta(self, slot: int) -> int:
-        """f(C - codeword in slot) - f(C).
-
-        Every vertex whose cover set holds `slot` lies in that codeword's
-        ball, so each affected class sits entirely inside the ball and
-        merges with the class holding its key minus `slot`.
-        """
-        word = self.word_at(slot)
-        ball = self._offsets ^ np.uint32(word)
-        t = Counter(self._key_id[ball].tolist())
-        delta = 0
-        for cid, c_class in t.items():
-            target = self._keys[cid] - {slot}
-            tid = self._ids.get(target)
-            c_target = int(self._count[tid]) if tid is not None else 0
-            delta += c_class * c_target  # merged pairs
-            if not target:
-                delta += c_class  # these vertices become uncovered
-        return delta
+        """f(C - codeword in slot) - f(C): each class in the codeword's ball
+        merges with the class of its key minus `slot` (see _removal)."""
+        return self._removal(slot)[0]
 
     # -- integrity ---------------------------------------------------------
 

@@ -22,6 +22,8 @@ The table's maintained add-delta vector gets its own oracles, which read
 only the table's class ids and class sizes: ``full_add_delta_all``
 re-scores every candidate from scratch (gather each ball's class ids and
 row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
+``full_swap_deltas`` stands in for ``SignatureTable.swap_deltas``: it
+removes the codeword for real, runs the full pass, and puts it back.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def full_add_delta_all(table):
     eq_pairs = run.sum(axis=1)
     t_sq = g.shape[1] + 2 * eq_pairs  # sum_K t_K^2 over each ball
     return t_sq - cs - t_empty
+
+
+def full_swap_deltas(table, slot):
+    """f(C - m + s) - f(C) for each word s, m the codeword in `slot`: the
+    f-change of removing m plus the full pass after it.  m returns to
+    `slot` (LIFO reuse), so the table ends with the same code."""
+    f_before = table.f
+    word = table.remove_slot(slot)
+    out = table.f - f_before + full_add_delta_all(table)
+    assert table.add(word) == slot
+    return out
 
 
 def scalar_add_delta(table, word):

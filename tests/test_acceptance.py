@@ -216,8 +216,9 @@ def test_criterion_07_annulus_cover_oracle():
 def test_criterion_08_incremental_equals_static():
     """A thousand random swaps on a live table never drift from the
     from-scratch evaluation.  Each swap is a noising visit's move: the
-    f-change is predicted as remove_delta plus, after remove_slot, the
-    new word's entry of add_delta_all, and then the word is added."""
+    f-change is predicted by swap_deltas, which must equal remove_delta
+    plus, after remove_slot, the new word's entry of add_delta_all, and
+    then the word is added."""
     rng = np.random.default_rng(0x5EED)
     n, r = 7, 2
     words = sorted(int(w) for w in rng.choice(1 << n, size=40, replace=False))
@@ -229,9 +230,10 @@ def test_criterion_08_incremental_equals_static():
         outside = [w for w in range(1 << n) if not table.has_word(w)]
         word = int(outside[rng.integers(len(outside))])
         f_before = table.f
-        predicted = table.remove_delta(slot)
+        predicted = int(table.swap_deltas(slot)[word])
+        removal = table.remove_delta(slot)
         table.remove_slot(slot)
-        predicted += int(table.add_delta_all()[word])
+        assert removal + int(table.add_delta_all()[word]) == predicted
         table.add(word)
         ev = evaluate(table.code(), r)
         if (table.nc, table.ns) != (ev.nc, ev.ns):

@@ -223,6 +223,17 @@ class TestMinDiscriminating:
         with pytest.raises(ValueError):
             min_discriminating(5, 4)  # radius beyond dim
 
+    @pytest.mark.parametrize("r,n", [(1, 2), (3, 3), (3, 4), (5, 5), (5, 6)])
+    def test_radius_without_a_code_is_refused(self, r, n):
+        # for n >= 2 every odd vertex shares its cover set with another
+        # once r > n - 2, so the search must refuse instead of exhausting
+        with pytest.raises(ValueError, match="need r <= n - 2"):
+            min_discriminating(r, n)
+
+    def test_dimension_one_keeps_its_code(self):
+        got = min_discriminating(1, 1)
+        assert got.size == 1 and is_discriminating(got.code, 1)
+
 
 class TestSearchGuards:
     def test_start_size_out_of_range(self):

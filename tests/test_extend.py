@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code, evaluate
 from idcodes.exact import min_identifying, min_separating
@@ -16,7 +18,7 @@ from idcodes.extend import (
 )
 from idcodes.heuristics import greedy_construct
 
-from conftest import random_code
+from conftest import brute_report, random_code
 
 
 def brute_x_set(code, r1, p, r2):
@@ -244,3 +246,46 @@ class TestOutputAlwaysVerified:
         except VerificationFailed:
             return
         assert evaluate(out, 2).f == 0
+
+
+def _by_definition(plan):
+    """(C (+) F^p) union (Y (+) patch), word by word; the patch is
+    F^p - {0^p} for C1 and the separating factor for C2."""
+    p = plan.p
+    patch = range(1, 1 << p) if plan.separ is None else plan.separ.words
+    return ({c << p | u for c in plan.base.words for u in range(1 << p)}
+            | {y << p | s for y in plan.y_set for s in patch})
+
+
+class TestExtensionProperties:
+    """Random small extensions: whatever the range policy admits (or
+    force lets through) comes out as the construction's own word set and
+    identifies F^(n+p) by the brute-force definition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_outputs_match_the_definition(self, data):
+        r1 = data.draw(st.integers(1, 3), label="r1")
+        n = data.draw(st.integers(r1 + 1, min(r1 + 3, 5)), label="n")
+        p = data.draw(st.integers(1, min(3, 7 - n)), label="p")
+        r2 = data.draw(st.integers(0, p), label="r2")
+        k = data.draw(st.none() | st.integers(0, p - 1), label="k (None: C1)")
+        force = data.draw(st.booleans(), label="force")
+        base = greedy_construct(r1, n, seed=data.draw(st.integers(0, 3), label="seed"))
+        try:
+            if k is None:
+                plan = plan_c1(base, r1, p, r2, force)
+            else:
+                plan = plan_c2(base, r1, p, r2, k, min_separating(p, k).code, force)
+        except ExtensionError as err:
+            assert not isinstance(err, VerificationFailed)  # the base and factor are valid
+            return
+        assert set(plan.x_set) == brute_x_set(base, r1, p, r2)
+        lo, hi = (r1 - p + r2 + 1, r1 + r2) if k is None else (r1 + r2 - k,) * 2
+        for x in plan.x_set:
+            assert any(lo <= bin(x ^ y).count("1") <= hi for y in plan.y_set)
+        out = apply_plan(plan)
+        assert out.dim == n + p and set(out.words) == _by_definition(plan)
+        assert len(out) <= plan.predicted_size()
+        nc, ns, _, _ = brute_report(out.words, n + p, r1 + r2)
+        assert (nc, ns) == (0, 0)

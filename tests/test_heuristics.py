@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from idcodes.heuristics import (
 from idcodes.hypercube import ball_size
 from idcodes.signatures import SignatureTable
 
-from conftest import full_add_delta_all, oracle_identifying
+from conftest import full_add_delta_all, full_swap_deltas, oracle_identifying
 
 
 def params(size, seed=0, iters=4000, rho=3.0):
@@ -241,17 +243,28 @@ class TestPrune:
         assert len(code) <= len(direct)
 
 
+def _small_run(r, n, size):
+    return NoisingParams(target_size=size, rho_init=1.0, rho_steps=10,
+                         max_iterations=600, seed=n + r)
+
+
+def report_digest(rep):
+    """SHA-256 over everything a SearchReport holds."""
+    code = rep.best_code
+    parts = (rep.best_f, rep.iterations_used, rep.sizes_achieved, rep.trace,
+             None if code is None else (code.dim, code.words))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
 class TestMaintainedDeltasSameSeed:
-    """The maintained add-delta vector changes no decision of the searches:
-    with the full-pass oracle patched in, every output is identical."""
+    """The maintained delta vectors change no decision of the searches:
+    with the full-pass oracles patched in, every output is identical."""
 
     @pytest.mark.parametrize("r,n,size", [(1, 6, 21), (2, 6, 10), (1, 7, 40)])
     def test_noising_reports_identical(self, r, n, size, monkeypatch):
-        p = NoisingParams(target_size=size, rho_init=1.0, rho_steps=10,
-                          max_iterations=600, seed=n + r)
-        maintained = noising_search(r, n, p)
-        monkeypatch.setattr(SignatureTable, "add_delta_all", full_add_delta_all)
-        assert noising_search(r, n, p) == maintained
+        maintained = noising_search(r, n, _small_run(r, n, size))
+        monkeypatch.setattr(SignatureTable, "swap_deltas", full_swap_deltas)
+        assert noising_search(r, n, _small_run(r, n, size)) == maintained
         assert maintained.sizes_achieved  # the runs reach identifying codes
 
     @pytest.mark.parametrize("r,n", [(1, 6), (2, 7)])
@@ -270,3 +283,39 @@ class TestMaintainedDeltasSameSeed:
 
         monkeypatch.setattr(SignatureTable, "_start_tracking", refuse)
         assert evaluate(prune(code, 1, restarts=4, seed=0), 1).f == 0
+
+
+class TestNoisingSameSeed:
+    """Same-seed noising runs stay what they were, and a visit whose swap
+    is rejected makes no table mutation."""
+
+    # Recorded from these runs; a refactor of the search or the table must
+    # reproduce them exactly.
+    GOLDEN = {
+        (1, 6, 21): "9847d586ade99114307dff22924866220ac5723593413c2f7053a770e783e706",
+        (2, 6, 10): "014533c0e1b999371909e65f65877f61ed33c837109a59a74ee01ff0b8ab7911",
+        (1, 7, 40): "f66852796576363ed86a58d5b3f4f2193912540aa79ded489163fce9e0334b69",
+    }
+
+    @pytest.mark.parametrize("r,n,size", sorted(GOLDEN))
+    def test_noising_reports_match_golden_digests(self, r, n, size):
+        rep = noising_search(r, n, _small_run(r, n, size))
+        assert report_digest(rep) == self.GOLDEN[r, n, size]
+
+    @pytest.mark.parametrize("r,n,size", [(1, 6, 21), (2, 6, 10)])
+    def test_rejected_visits_leave_the_table_alone(self, r, n, size, monkeypatch):
+        moved = []
+        move_ball = SignatureTable._move_ball
+
+        def counted(self, word, slot, sign):
+            moved.append(self)
+            return move_ball(self, word, slot, sign)
+
+        monkeypatch.setattr(SignatureTable, "_move_ball", counted)
+        run = _NoisingRun(r, n, _small_run(r, n, size), None)
+        rep = run.run()
+        accepted = len(rep.trace) - 1
+        shrinks = len(rep.sizes_achieved)  # each found code drops one word
+        assert 0 < accepted < rep.iterations_used
+        # the initial adds, a removal and an add per accepted swap, the shrinks
+        assert sum(t is run.table for t in moved) == size + 2 * accepted + shrinks

@@ -442,9 +442,13 @@ class TestDeltas:
                 slot = int(rng.choice(slots))
                 w = int(rng.choice(outside))
                 before = t.f
-                predicted, old = _remove_add(t, slot, w)
+                predicted = int(t.swap_deltas(slot)[w])
+                old = t.remove_slot(slot)
+                assert t.add(w) == slot
                 assert t.f - before == predicted
-                _remove_add(t, slot, old)
+                assert int(t.swap_deltas(slot)[old]) == -predicted
+                t.remove_slot(slot)
+                t.add(old)
                 assert t.f == before
 
     def test_swap_delta_covers_overlap_case(self):
@@ -452,23 +456,12 @@ class TestDeltas:
         # be scored on the classes as they are after the removal
         t = SignatureTable.build(Code.from_words([0, 12], 4), 1)
         before = t.f
-        predicted, _ = _remove_add(t, t.slot_of(0), 1)  # distance 1 from 0
+        slot = t.slot_of(0)
+        predicted = int(t.swap_deltas(slot)[1])  # distance 1 from 0
+        t.remove_slot(slot)
+        t.add(1)
         assert t.f - before == predicted
         t.check()
-
-
-def _remove_add(table, slot, word):
-    """Move the codeword in `slot` to `word` as a noising visit does.
-
-    Returns the f-change predicted before the add, remove_delta plus the
-    add-delta of `word` after the removal, and the removed word.  The
-    word lands back in `slot`.
-    """
-    predicted = table.remove_delta(slot)
-    old = table.remove_slot(slot)
-    predicted += int(table.add_delta_all()[word])
-    assert table.add(word) == slot
-    return predicted, old
 
 
 def _static_nc_ns(table):
@@ -526,3 +519,59 @@ class TestMaintainedDeltas:
         assert np.flatnonzero(t.word_mask).tolist() == [3, 14]
         with pytest.raises(ValueError):
             t.word_mask[0] = True  # a read-only view
+
+
+class TestSwapDeltas:
+    """swap_deltas scores every swap of one codeword, as a noising visit
+    does, from the table as it stands and without touching it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_read_only_scores_match_a_real_removal(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        r = data.draw(st.integers(1, 2), label="r")
+        t = SignatureTable(n, r)
+        for _ in range(data.draw(st.integers(1, 12), label="visits")):
+            slots = t.active_slots()
+            if slots and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
+                t.remove_slot(data.draw(st.sampled_from(slots), label="removed slot"))
+            else:
+                t.add(data.draw(st.sampled_from(np.flatnonzero(~t.word_mask).tolist()), label="word"))
+            if not t.size:
+                continue
+            slot = data.draw(st.sampled_from(t.active_slots()), label="slot")
+            words, f, adds = t.words(), t.f, t.add_delta_all()
+            scores = t.swap_deltas(slot)
+            t.check()
+            assert (t.words(), t.f) == (words, f)
+            assert np.array_equal(t.add_delta_all(), adds)
+            # the same removal made for real on a second table
+            ref = SignatureTable.build(t.code(), r)
+            ref.remove_slot(ref.slot_of(t.word_at(slot)))
+            removal = t.remove_delta(slot)
+            assert ref.f - f == removal
+            outside = ~t.word_mask
+            assert np.array_equal(scores[outside], (removal + full_add_delta_all(ref))[outside])
+            if outside.any() and data.draw(st.booleans(), label="mutate in between"):
+                t.add(data.draw(st.sampled_from(np.flatnonzero(outside).tolist()), label="between"))
+            t.remove_slot(slot)
+            t.check()
+            assert (t.nc, t.ns) == _static_nc_ns(t)
+            assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+
+    def test_remove_after_scoring_reuses_its_vectors(self, monkeypatch, rng):
+        t = SignatureTable.build(random_code(rng, 6, kmin=6, kmax=10), 2)
+        computed = []
+        without = SignatureTable._without
+        monkeypatch.setattr(SignatureTable, "_without",
+                            lambda self, slot: computed.append(slot) or without(self, slot))
+        a, b = t.active_slots()[:2]
+        t.swap_deltas(a)
+        t.remove_slot(a)  # straight after scoring the same slot: reused
+        assert computed == [a]
+        t.swap_deltas(b)
+        t.add(int(np.flatnonzero(~t.word_mask)[0]))
+        t.remove_slot(b)  # a mutation came in between: recomputed
+        assert computed == [a, b, b]
+        assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+        t.check()
