@@ -410,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "restarts", 1) < 1:  # construct and prune
+            raise UsageError("--restarts must be >= 1")
         return args.func(args)
     except codefile.CodeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,6 +12,11 @@ schedule, letting early iterations escape local minima while late ones
 descend strictly.  Whenever the current code becomes identifying it is
 recorded and the search drops one codeword (the one whose removal hurts
 least) and keeps going at the smaller size.
+
+Pruning rests on monotonicity: a superset of an identifying code is
+identifying.  A codeword that cannot leave the input cannot leave any
+subset of it either, so every restart walks only the words one table
+found removable at the start, and a single pass is already 1-minimal.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class SearchReport:
 
 
 class _StopSearch(Exception):
-    """Internal signal: the early-stop size was reached."""
+    """Internal signal: the early-stop size or the iteration budget was reached."""
 
 
 class _NoisingRun:
@@ -172,21 +177,14 @@ class _NoisingRun:
         try:
             if self.table.f == 0:
                 self._record_and_shrink()
-            out_of_budget = False
-            while not out_of_budget:
+            while True:
                 for rho in self.params.schedule():
                     for _ in range(self.params.sweeps_per_rho):
                         for slot in self.table.active_slots():
                             if self.iterations >= self.params.max_iterations:
-                                out_of_budget = True
-                                break
-                            if not self.table.slot_active(slot):
-                                continue  # removed by a shrink this sweep
-                            self._visit(slot, float(rho))
-                        if out_of_budget:
-                            break
-                    if out_of_budget:
-                        break
+                                raise _StopSearch
+                            if self.table.slot_active(slot):  # else removed by a shrink
+                                self._visit(slot, float(rho))
         except _StopSearch:
             pass
         return SearchReport(
@@ -251,33 +249,33 @@ def greedy_construct(r: int, n: int, seed: int = 0) -> Code:
 def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
     """Strip removable codewords until no single removal keeps the code valid.
 
-    Runs ``restarts`` passes with independent random removal orders and
-    keeps the smallest 1-minimal result.  Raises ValueError when the
-    input is not r-identifying.
+    Runs ``restarts`` passes with independent random removal orders over
+    one table and keeps the smallest result.  A superset of an identifying
+    code is identifying, so a codeword that cannot go from C cannot go
+    from any subset that holds it.  Hence one ``remove_delta`` per
+    codeword picks the candidates, and one pass over them is 1-minimal:
+    each word it keeps could not go from a superset of the result.  A
+    restart adds back what it removed.  Raises ValueError when the input
+    is not r-identifying.
     """
     if evaluate(code, r).f != 0:
         raise ValueError(f"input code is not {r}-identifying")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
+    table = SignatureTable.build(code, r)
+    free = [table.remove_delta(table.slot_of(w)) == 0 for w in code.words]
     best: Code = code
     for _ in range(restarts):
-        table = SignatureTable.build(code, r)
-        order = [int(i) for i in rng.permutation(len(code.words))]
-        words = [code.words[i] for i in order]
-        changed = True
-        while changed:
-            changed = False
-            for w in words:
-                if not table.has_word(w):
-                    continue
-                slot = table.slot_of(w)
-                if table.size > 1 and table.remove_delta(slot) == 0:
-                    table.remove_slot(slot)
-                    changed = True
-        result = table.code()
-        if len(result) < len(best):
-            best = result
+        removed = []
+        for i in rng.permutation(len(code.words)).tolist():
+            slot = table.slot_of(code.words[i])
+            if free[i] and table.size > 1 and table.remove_delta(slot) == 0:
+                removed.append(table.remove_slot(slot))
+        if table.size < len(best):
+            best = table.code()
+        for w in reversed(removed):
+            table.add(w)
     if evaluate(best, r).f != 0:
         raise AssertionError("pruned code failed static verification")
     return best

@@ -24,6 +24,14 @@ re-scores every candidate from scratch (gather each ball's class ids and
 row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 ``full_swap_deltas`` stands in for ``SignatureTable.swap_deltas``: it
 removes the codeword for real, runs the full pass, and puts it back.
+
+``reference_prune`` is the pruning that ``heuristics.prune`` replaced: a
+fresh table per restart, and passes over the whole code repeated until
+one removes nothing.
+
+One Hypothesis profile serves the whole suite: no deadline (the examples
+build tables and search, so their times vary with the machine) and a
+reproduction blob printed with every failure.
 """
 
 from __future__ import annotations
@@ -33,9 +41,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from idcodes import Code
 from idcodes.codefile import CodeFile, CodeFileError
+from idcodes.signatures import SignatureTable, evaluate
+
+settings.register_profile("idcodes", deadline=None, print_blob=True)
+settings.load_profile("idcodes")
 
 
 def brute_cover_sets(words, n, r):
@@ -132,6 +145,35 @@ def full_swap_deltas(table, slot):
     out = table.f - f_before + full_add_delta_all(table)
     assert table.add(word) == slot
     return out
+
+
+def reference_prune(code, r, restarts=16, seed=0):
+    """Random-order removal passes, repeated until none removes a word, on
+    a table built afresh for each restart; the smallest result wins."""
+    if evaluate(code, r).f != 0:
+        raise ValueError(f"input code is not {r}-identifying")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = code
+    for _ in range(restarts):
+        table = SignatureTable.build(code, r)
+        order = [int(i) for i in rng.permutation(len(code.words))]
+        words = [code.words[i] for i in order]
+        changed = True
+        while changed:
+            changed = False
+            for w in words:
+                if not table.has_word(w):
+                    continue
+                slot = table.slot_of(w)
+                if table.size > 1 and table.remove_delta(slot) == 0:
+                    table.remove_slot(slot)
+                    changed = True
+        result = table.code()
+        if len(result) < len(best):
+            best = result
+    return best
 
 
 def scalar_add_delta(table, word):

@@ -140,12 +140,12 @@ def _code_texts(draw, bad_tokens):
 
 
 class TestParserMatchesReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(_code_texts(bad_tokens=0))
     def test_well_formed_files(self, text):
         assert parse_code_text(text) == reference_parse(text)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(1, 2).flatmap(lambda k: _code_texts(bad_tokens=k)))
     def test_first_bad_token_sets_line_and_message(self, text):
         with pytest.raises(CodeFileError) as want:
@@ -227,6 +227,14 @@ class TestCliConstruct:
         cf = read_code_file(out)
         assert cf.radius == 1
         assert main(["verify", str(out), "--r", "1"]) == 0
+
+    def test_greedy_prune_zero_restarts_is_a_usage_error(self, capsys):
+        rc = main([
+            "construct", "--method", "greedy", "--r", "1", "--n", "8",
+            "--prune", "--restarts", "0",
+        ])
+        assert rc == 2
+        assert "usage error: --restarts must be >= 1" in capsys.readouterr().err
 
     def test_noising_needs_size(self, capsys):
         assert main(["construct", "--method", "noising", "--r", "1", "--n", "4"]) == 2
@@ -313,6 +321,12 @@ class TestCliPruneConvert:
 
     def test_prune_rejects_invalid_input(self, bad_code, capsys):
         assert main(["prune", bad_code]) == 1
+
+    def test_prune_zero_restarts_is_a_usage_error(self, code_74, capsys):
+        assert main(["prune", code_74, "--restarts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert "FAIL" not in captured.out
 
     def test_convert_round_trip(self, code_74, tmp_path, capsys):
         disc = tmp_path / "d.txt"

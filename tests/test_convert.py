@@ -118,7 +118,7 @@ def codes(draw):
 
 
 class TestBijectionProperty:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(codes())
     def test_parity_bijection(self, code):
         disc = to_discriminating(code)

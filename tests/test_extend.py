@@ -262,7 +262,7 @@ class TestExtensionProperties:
     force lets through) comes out as the construction's own word set and
     identifies F^(n+p) by the brute-force definition."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_outputs_match_the_definition(self, data):
         r1 = data.draw(st.integers(1, 3), label="r1")

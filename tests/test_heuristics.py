@@ -1,9 +1,13 @@
 import hashlib
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code, evaluate
+from idcodes.codefile import parse_code_text
 from idcodes.heuristics import (
     NoisingParams,
     SearchReport,
@@ -17,7 +21,13 @@ from idcodes.heuristics import (
 from idcodes.hypercube import ball_size
 from idcodes.signatures import SignatureTable
 
-from conftest import full_add_delta_all, full_swap_deltas, oracle_identifying
+from conftest import (
+    brute_eval,
+    full_add_delta_all,
+    full_swap_deltas,
+    oracle_identifying,
+    reference_prune,
+)
 
 
 def params(size, seed=0, iters=4000, rho=3.0):
@@ -243,6 +253,57 @@ class TestPrune:
         assert len(code) <= len(direct)
 
 
+@st.composite
+def padded_greedy(draw):
+    """(code, r): a greedy r-identifying code in F^n, n <= 7, plus random
+    extra words, so still identifying."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, min(3, n - 1)))
+    base = greedy_construct(r, n, seed=draw(st.integers(0, 2**16)))
+    extra = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << (n - 1)))
+    return Code.from_words(set(base.words) | extra, n), r
+
+
+class TestPruneMonotone:
+    """prune rests on monotonicity; it must give the codes of the
+    restart-and-repeat reference, and build its table once."""
+
+    @settings(max_examples=60)
+    @given(padded_greedy(), st.integers(0, 2**16), st.sets(st.integers(0, 127)))
+    def test_supersets_of_identifying_codes_identify(self, case, seed, extra):
+        code, r = case
+        n = code.dim
+        small = prune(code, r, restarts=1, seed=seed)
+        assert brute_eval(small.words, n, r) == (0, 0)
+        bigger = set(small.words) | {w % (1 << n) for w in extra}
+        assert brute_eval(sorted(bigger), n, r) == (0, 0)
+
+    @settings(max_examples=60)
+    @given(padded_greedy(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_matches_reference_and_is_one_minimal(self, case, restarts, seed):
+        code, r = case
+        n = code.dim
+        got = prune(code, r, restarts=restarts, seed=seed)
+        assert got == reference_prune(code, r, restarts=restarts, seed=seed)
+        assert brute_eval(got.words, n, r) == (0, 0)
+        for w in got.words:
+            assert brute_eval([x for x in got.words if x != w], n, r) != (0, 0)
+
+    @pytest.mark.parametrize("restarts", [1, 4, 16])
+    def test_builds_one_table(self, restarts, monkeypatch):
+        code = greedy_construct(1, 7, seed=3)
+        built = []
+        init = SignatureTable.__init__
+
+        def counted(self, dim, radius):
+            built.append(self)
+            init(self, dim, radius)
+
+        monkeypatch.setattr(SignatureTable, "__init__", counted)
+        prune(code, 1, restarts=restarts, seed=0)
+        assert len(built) == 1
+
+
 def _small_run(r, n, size):
     return NoisingParams(target_size=size, rho_init=1.0, rho_steps=10,
                          max_iterations=600, seed=n + r)
@@ -283,6 +344,41 @@ class TestMaintainedDeltasSameSeed:
 
         monkeypatch.setattr(SignatureTable, "_start_tracking", refuse)
         assert evaluate(prune(code, 1, restarts=4, seed=0), 1).f == 0
+
+
+def code_digest(code):
+    return hashlib.sha256(repr(code.words).encode()).hexdigest()
+
+
+class TestPruneSameSeed:
+    """Same-seed prune outputs stay what they were."""
+
+    # Recorded from the restart-and-repeat prune at restarts=16; key
+    # (r, n, seed) prunes greedy_construct(r, n, seed) with that seed.
+    GOLDEN = {
+        (1, 8, 0): "aa0c383d4f0bbf280fdb27f73865b5e17ce9bf7543b31d09f33e07dc8563f2d7",
+        (1, 8, 1): "d851ca0cf3c84031e62742cbc226b8519588cc37cc3d6633e97eea5e83b8a35b",
+        (1, 8, 2): "7991c5e258d1dd81c4b2d761508620820c1a61538814380928e426bd2f5bbfff",
+        (2, 8, 0): "11fa4aa6388cc51e63072913664fdd1e7c41b8ee1ee561741ad0f619c27e1949",
+        (2, 8, 1): "a1bd4ce936e2ec804125c9f49ef05cb09120d39b0e927a179bbb535f50061420",
+        (2, 8, 2): "c9d80ba2eda63bb937b8f3b0b549bb11eccac0d51277a17694e0ac602fc14e38",
+        (3, 8, 0): "4ced72d96ac4ed271ca5b1192e69dd602f129d5feded61516b284e3f64ce76c0",
+        (3, 8, 1): "6018db9b0091a1038be18b3ef2a88aa1622d911ea470fa0796196a143ce66e90",
+        (3, 8, 2): "9d7e05ec721bba1f7dac5d8ff82eb3411d66fa6ca95f265268a3c8e4335f914c",
+    }
+    # The shipped 114-word (1, 9) code pruned at r = 2, seed 0: 44 words.
+    SHIPPED_R2 = "f041f1e93100d59e3335a86856ca85b097fe06d6b1cc5a2488b824c53bd6adf8"
+
+    @pytest.mark.parametrize("r,n,seed", sorted(GOLDEN))
+    def test_greedy_prune_matches_golden_digests(self, r, n, seed):
+        code = prune(greedy_construct(r, n, seed=seed), r, restarts=16, seed=seed)
+        assert code_digest(code) == self.GOLDEN[r, n, seed]
+
+    def test_shipped_code_at_r2_matches_golden_digest(self):
+        text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
+        code = prune(parse_code_text(text).code, 2, restarts=16, seed=0)
+        assert len(code) == 44
+        assert code_digest(code) == self.SHIPPED_R2
 
 
 class TestNoisingSameSeed:

@@ -253,7 +253,7 @@ def isometries(draw):
 
 
 class TestPermuteWords:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(isometries())
     def test_matches_reference(self, iso):
         code, perm, _ = iso
@@ -270,7 +270,7 @@ class TestPermuteWords:
             assert row == [reference_permute(w, perm, n) for w in range(1 << n)]
         assert permute_words(words, np.empty((0, n), dtype=int), n).shape == (0, 1 << n)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(isometries())
     def test_isometry_preserves_distances_and_identifying(self, iso):
         code, perm, translate = iso

@@ -474,7 +474,7 @@ def _static_nc_ns(table):
 
 
 class TestMaintainedDeltas:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_random_moves_match_full_pass(self, data):
         n = data.draw(st.integers(3, 8), label="n")
@@ -525,7 +525,7 @@ class TestSwapDeltas:
     """swap_deltas scores every swap of one codeword, as a noising visit
     does, from the table as it stands and without touching it."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_read_only_scores_match_a_real_removal(self, data):
         n = data.draw(st.integers(2, 6), label="n")
