@@ -144,6 +144,21 @@ class TestMinIdentifying:
         assert not got.minimal
         assert got.nodes >= 3
 
+    # min_identifying(1, 5) starts at size 10 and visits 4,949 nodes: node 1
+    # is the root, node 101 sits at depth 7, and node 4,949 is the only leaf,
+    # the code itself.  The node past the budget is counted, then refused.
+    @pytest.mark.parametrize("budget", [0, 100, 4948])
+    def test_budget_counts_the_refused_node(self, budget):
+        got = min_identifying(1, 5, budget=budget)
+        assert got.code is None and not got.minimal
+        assert got.nodes == budget + 1
+        assert got.infeasible_sizes == ()
+
+    def test_budget_equal_to_the_node_count_suffices(self):
+        got = min_identifying(1, 5, budget=4949)
+        assert got.size == 10 and got.minimal
+        assert got.nodes == 4949
+
     def test_determinism(self):
         a = min_identifying(1, 4)
         b = min_identifying(1, 4)
@@ -269,6 +284,31 @@ class TestCanonicalPruning:
     )
     def test_node_counts(self, search, args, nodes):
         assert search(*args).nodes == nodes
+
+
+class TestGoldenOutcomes:
+    # whole outcomes, recorded before the search loop was restructured:
+    # canonical pruning off, an n = 6 cell, and an open budgeted run
+    @pytest.mark.parametrize(
+        "search,args,kwargs,size,nodes,start,infeasible,words",
+        [
+            (min_identifying, (1, 4), {"start_size": 1, "canonical": False},
+             7, 743, 1, (1, 2, 3, 4, 5, 6), (0, 1, 2, 5, 6, 11, 13)),
+            (min_discriminating, (1, 6), {},
+             10, 92389, 1, tuple(range(1, 10)),
+             (0, 3, 5, 9, 17, 30, 46, 54, 58, 60)),
+            (min_identifying, (1, 6), {"budget": 50_000, "cap": 6},
+             None, 50001, 18, (), None),
+        ],
+    )
+    def test_outcome(self, search, args, kwargs, size, nodes, start, infeasible, words):
+        got = search(*args, **kwargs)
+        assert got.size == size
+        assert got.nodes == nodes
+        assert got.start_size == start
+        assert got.infeasible_sizes == infeasible
+        assert got.minimal == (size is not None)
+        assert (None if got.code is None else tuple(got.code.words)) == words
 
 
 class TestOutcomeShape:
