@@ -246,8 +246,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     outcome = exact.min_identifying(args.r, args.n, budget=args.budget, cap=args.cap)
+    payload = {
+        "r": args.r,
+        "n": args.n,
+        "minimum": outcome.size,
+        "nodes": outcome.nodes,
+        "start_size": outcome.start_size,
+        "infeasible_sizes": list(outcome.infeasible_sizes),
+        "code": None if outcome.code is None else list(outcome.code.words),
+    }
     if outcome.code is None:
-        payload = {"nodes": outcome.nodes, "infeasible_sizes": list(outcome.infeasible_sizes)}
         _emit(args, payload, [f"budget exhausted after {outcome.nodes} nodes"])
         return 1
     lines = [
@@ -255,13 +263,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         f"nodes {outcome.nodes}",
         "code " + " ".join(str(w) for w in outcome.code.words),
     ]
-    payload = {
-        "r": args.r,
-        "n": args.n,
-        "minimum": outcome.size,
-        "nodes": outcome.nodes,
-        "code": list(outcome.code.words),
-    }
     _emit(args, payload, lines)
     if getattr(args, "out", None):
         codefile.write_code_file(args.out, outcome.code, args.r, comments=["exact minimum"])

@@ -12,7 +12,8 @@ candidate sizes so the first feasible size is the minimum.  Partial codes
 carry the current partition of vertices into cover-set classes, as vertex
 bitmasks; a branch dies as soon as some class can no longer be split into
 small enough pieces, some vertex can no longer be covered, or some pair
-has no remaining separator.
+has no remaining separator.  Each child is counted, then checked cheapest
+rule first in its parent's loop before its classes are kept.
 """
 
 from __future__ import annotations
@@ -98,50 +99,14 @@ class _Searcher:
         self.targets = targets
         m = len(candidates)
         self.suffix = [(((1 << m) - 1) >> i) << i for i in range(m + 1)]
+        # reach[i]: the target vertices candidates i, i+1, ... still cover
+        reach = itertools.accumulate(reversed(self.ballmask), int.__or__, initial=0)
+        self.reach = list(reach)[::-1]
         self.perms = []
         if canonical:
             others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
             perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
             self.perms = permute_words(np.arange(1 << n), perms, n).tolist()
-
-    def _feasible(self, classes: list[int], uncov: int, remaining: int, rmask: int) -> bool:
-        limit = 1 << remaining
-        cover = self.covermask
-        for c in classes:
-            if c.bit_count() > limit:
-                return False
-            u = (c & -c).bit_length() - 1
-            rest = c & (c - 1)
-            v = (rest & -rest).bit_length() - 1
-            if (cover[u] ^ cover[v]) & rmask == 0:
-                return False
-        pu = uncov.bit_count()
-        if pu:
-            if self.allow_one_uncovered:
-                if pu > limit:
-                    return False
-            else:
-                if pu > limit - 1 or pu > remaining * self.vol:
-                    return False
-            stuck = 0
-            m = uncov
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if cover[v] & rmask == 0:
-                    if self.allow_one_uncovered:
-                        stuck += 1
-                        if stuck >= 2:
-                            return False
-                    else:
-                        return False
-            if pu >= 2:
-                u = (uncov & -uncov).bit_length() - 1
-                rest = uncov & (uncov - 1)
-                v = (rest & -rest).bit_length() - 1
-                if (cover[u] ^ cover[v]) & rmask == 0:
-                    return False
-        return True
 
     def _canonical(self, words: tuple[int, ...]) -> bool:
         ref = list(words)
@@ -151,47 +116,76 @@ class _Searcher:
                 return False
         return True
 
-    def _dfs(self, lo: int, words: tuple[int, ...], classes: list[int],
+    def _dfs(self, lo: int, hi: int, words: tuple[int, ...], classes: list[int],
              uncov: int, remaining: int):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExhausted
-        if remaining == 0:
-            ok_uncov = uncov == 0 or (self.allow_one_uncovered and uncov.bit_count() == 1)
-            if not classes and ok_uncov:
-                return words
-            return None
-        if not self._feasible(classes, uncov, remaining, self.suffix[lo]):
-            return None
-        last = len(self.cands) - remaining
-        for j in range(lo, last + 1):
+        """Try candidates lo..hi-1 as the next word; return the first code.
+
+        Each child is counted, then decided here, cheapest rule first, and
+        only a feasible child is recursed into.  At a leaf the first two rules
+        are the leaf test: no class keeps two members, and no vertex (for
+        separating codes, at most one) stays uncovered.
+        """
+        remaining -= 1  # words each child still has to place
+        limit = 1 << remaining  # cover sets those words can tell apart
+        # uncovered vertices need distinct cover sets, nonempty unless one
+        # may stay uncovered, and each word covers at most vol of them
+        most = limit if self.allow_one_uncovered else min(limit - 1, remaining * self.vol)
+        cover = self.covermask
+        budget = self.budget
+        lex = self.perms and len(words) <= _CANONICAL_DEPTH
+        for j in range(lo, hi):
+            if lex and not self._canonical(words + (self.cands[j],)):
+                continue
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExhausted
             ball = self.ballmask[j]
-            new_classes = []
-            for c in classes:
-                a = c & ball
-                if a.bit_count() >= 2:
-                    new_classes.append(a)
-                b = c & ~ball
-                if b.bit_count() >= 2:
-                    new_classes.append(b)
-            fresh = uncov & ball
-            if fresh.bit_count() >= 2:
-                new_classes.append(fresh)
-            new_words = words + (self.cands[j],)
-            if self.perms and len(new_words) - 1 <= _CANONICAL_DEPTH:
-                if not self._canonical(new_words):
+            left = uncov & ~ball  # 1. the uncovered count
+            if left.bit_count() > most:
+                continue
+            rmask = self.suffix[j + 1]  # 2. the class split
+            kids = self._split(classes, uncov & ball, ball, limit, rmask)
+            if kids is None:
+                continue
+            if remaining == 0:  # 3. the leaf test
+                return words + (self.cands[j],)
+            if left:  # 4. no uncovered vertex out of reach (for separating
+                # codes, at most one), and the first two still separable
+                if (left & ~self.reach[j + 1]).bit_count() > self.allow_one_uncovered:
                     continue
-            hit = self._dfs(j + 1, new_words, new_classes, uncov & ~ball, remaining - 1)
+                rest = left & (left - 1)
+                u = (left & -left).bit_length() - 1
+                if rest and (cover[u] ^ cover[(rest & -rest).bit_length() - 1]) & rmask == 0:
+                    continue
+            hit = self._dfs(j + 1, len(self.cands) - remaining + 1,
+                            words + (self.cands[j],), kids, left, remaining)
             if hit is not None:
                 return hit
         return None
 
+    def _split(self, classes: list[int], fresh: int, ball: int, limit: int,
+               rmask: int) -> list[int] | None:
+        """Each class cut by the ball, plus the freshly covered vertices; None
+        at the first piece too big for limit or with no separator in rmask."""
+        cover = self.covermask
+        kids = []
+        for c in (*classes, fresh):
+            a = c & ball
+            for piece in (a, c ^ a):
+                rest = piece & (piece - 1)
+                if rest:
+                    if piece.bit_count() > limit:
+                        return None
+                    u = (piece & -piece).bit_length() - 1
+                    if (cover[u] ^ cover[(rest & -rest).bit_length() - 1]) & rmask == 0:
+                        return None
+                    kids.append(piece)
+        return kids
+
     def search_size(self, size: int):
-        """One feasibility run; words include the fixed 0^n."""
-        ball0 = self.ballmask[0]
-        classes = [ball0] if ball0.bit_count() >= 2 else []
-        uncov = self.targets & ~ball0
-        return self._dfs(1, (0,), classes, uncov, size - 1)
+        """One feasibility run.  The root, the fixed word 0^n, is the one child
+        tried from the empty code, so it is counted and decided like any node."""
+        return self._dfs(0, 1, (), [], self.targets, size)
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -282,6 +276,11 @@ def min_separating(
 
     The result size is checked against the bracket [M_k(p) - 1, M_k(p)]
     whenever the registry knows M_k(p) exactly.
+
+    k = p - 1 is the slow corner.  A ball then misses only the antipode, so
+    every vertex whose antipode is not a codeword has cover set C, and at
+    most one such vertex may exist: the minimum is 2^p - 1.  The search has
+    to exhaust every smaller size with weak pruning; (5, 4) takes minutes.
     """
     _check_cap(p, 5)
     if not 0 <= k <= p - 1:

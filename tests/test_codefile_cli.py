@@ -360,6 +360,21 @@ class TestCliExactAndBounds:
         assert main(["exact", "--r", "1", "--n", "5", "--budget", "3"]) == 1
         assert "budget exhausted" in capsys.readouterr().out
 
+    def test_exact_json_has_one_shape(self, capsys):
+        keys = {"r", "n", "minimum", "nodes", "start_size", "infeasible_sizes", "code"}
+        assert main(["exact", "--r", "1", "--n", "4", "--json"]) == 0
+        done = json.loads(capsys.readouterr().out)
+        assert main(["exact", "--r", "1", "--n", "5", "--budget", "3", "--json"]) == 1
+        open_ = json.loads(capsys.readouterr().out)
+        assert set(done) == set(open_) == keys
+        want = min_identifying(1, 4)
+        assert done["minimum"] == 7 and done["code"] == list(want.code.words)
+        assert done["start_size"] == want.start_size
+        assert done["infeasible_sizes"] == list(want.infeasible_sizes)
+        assert open_["minimum"] is None and open_["code"] is None
+        assert (open_["r"], open_["n"], open_["nodes"]) == (1, 5, 4)
+        assert open_["start_size"] == 10 and open_["infeasible_sizes"] == []
+
     def test_exact_cap_guard(self, capsys):
         assert main(["exact", "--r", "1", "--n", "9"]) == 2
 
