@@ -29,6 +29,10 @@ removes the codeword for real, runs the full pass, and puts it back.
 fresh table per restart, and passes over the whole code repeated until
 one removes nothing.
 
+``ReferenceSearcher`` is the exact search that decided each child only
+after recursing into it; the exact tests require identical outcomes and
+node counts from the production loop.
+
 One Hypothesis profile serves the whole suite: no deadline (the examples
 build tables and search, so their times vary with the machine) and a
 reproduction blob printed with every failure.
@@ -45,6 +49,7 @@ from hypothesis import settings
 
 from idcodes import Code
 from idcodes.codefile import CodeFile, CodeFileError
+from idcodes.exact import _CANONICAL_DEPTH, BudgetExhausted, _Searcher
 from idcodes.signatures import SignatureTable, evaluate
 
 settings.register_profile("idcodes", deadline=None, print_blob=True)
@@ -174,6 +179,80 @@ def reference_prune(code, r, restarts=16, seed=0):
         if len(result) < len(best):
             best = result
     return best
+
+
+class ReferenceSearcher(_Searcher):
+    """The exact search as it first stood: the parent splits each class by
+    the child's ball and builds the child's class list, recurses, and only
+    then does the child test itself against every rule."""
+
+    def _feasible(self, classes, uncov, remaining, rmask):
+        limit = 1 << remaining
+        cover = self.covermask
+        for c in classes:
+            if c.bit_count() > limit:
+                return False
+            u = (c & -c).bit_length() - 1
+            rest = c & (c - 1)
+            v = (rest & -rest).bit_length() - 1
+            if (cover[u] ^ cover[v]) & rmask == 0:
+                return False
+        pu = uncov.bit_count()
+        if pu:
+            if self.allow_one_uncovered:
+                if pu > limit:
+                    return False
+            elif pu > limit - 1 or pu > remaining * self.vol:
+                return False
+            stuck = 0
+            m = uncov
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                if cover[v] & rmask == 0:
+                    stuck += 1
+                    if stuck >= 2 or not self.allow_one_uncovered:
+                        return False
+            if pu >= 2:
+                u = (uncov & -uncov).bit_length() - 1
+                rest = uncov & (uncov - 1)
+                v = (rest & -rest).bit_length() - 1
+                if (cover[u] ^ cover[v]) & rmask == 0:
+                    return False
+        return True
+
+    def _dfs(self, lo, words, classes, uncov, remaining):
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            raise BudgetExhausted
+        if remaining == 0:
+            ok_uncov = uncov == 0 or (self.allow_one_uncovered and uncov.bit_count() == 1)
+            return words if not classes and ok_uncov else None
+        if not self._feasible(classes, uncov, remaining, self.suffix[lo]):
+            return None
+        for j in range(lo, len(self.cands) - remaining + 1):
+            ball = self.ballmask[j]
+            new_classes = []
+            for c in classes:
+                for piece in (c & ball, c & ~ball):
+                    if piece.bit_count() >= 2:
+                        new_classes.append(piece)
+            fresh = uncov & ball
+            if fresh.bit_count() >= 2:
+                new_classes.append(fresh)
+            new_words = words + (self.cands[j],)
+            if self.perms and len(new_words) - 1 <= _CANONICAL_DEPTH:
+                if not self._canonical(new_words):
+                    continue
+            hit = self._dfs(j + 1, new_words, new_classes, uncov & ~ball, remaining - 1)
+            if hit is not None:
+                return hit
+        return None
+
+    def search_size(self, size):
+        ball0 = self.ballmask[0]
+        classes = [ball0] if ball0.bit_count() >= 2 else []
+        return self._dfs(1, (0,), classes, self.targets & ~ball0, size - 1)
 
 
 def scalar_add_delta(table, word):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from idcodes import Code, evaluate, is_identifying
+from idcodes import Code, exact, evaluate, is_identifying
 from idcodes.convert import is_discriminating
 from idcodes.exact import (
     MAX_EXACT_DIM,
@@ -13,7 +13,7 @@ from idcodes.exact import (
     min_separating,
 )
 
-from conftest import oracle_eval, random_code
+from conftest import ReferenceSearcher, oracle_eval, random_code
 
 
 def _ball_masks(n, r):
@@ -309,6 +309,26 @@ class TestGoldenOutcomes:
         assert got.infeasible_sizes == infeasible
         assert got.minimal == (size is not None)
         assert (None if got.code is None else tuple(got.code.words)) == words
+
+
+class TestReferenceSearch:
+    # same rules in a different order, so the same nodes in the same order
+    @pytest.mark.parametrize(
+        "search,args,kwargs",
+        [(min_identifying, (r, n), {"start_size": 1, "canonical": c})
+         for n in (3, 4) for r in range(1, n) for c in (True, False)]
+        + [(min_identifying, (1, 5), {}), (min_identifying, (3, 5), {}),
+           (min_identifying, (1, 5), {"start_size": 1, "budget": 3000}),
+           (min_identifying, (1, 6), {"cap": 6, "budget": 2000})]
+        + [(min_separating, (p, k), {}) for p in (2, 3, 4) for k in range(p)]
+        + [(min_separating, (5, 1), {}), (min_separating, (5, 4), {"budget": 5000})]
+        + [(min_discriminating, (r, n), {}) for r, n in ((1, 3), (1, 4), (1, 5), (3, 5))]
+        + [(min_discriminating, (1, 6), {"budget": 5000})],
+    )
+    def test_outcome_matches_reference(self, monkeypatch, search, args, kwargs):
+        got = search(*args, **kwargs)
+        monkeypatch.setattr(exact, "_Searcher", ReferenceSearcher)
+        assert got == search(*args, **kwargs)
 
 
 class TestOutcomeShape:
