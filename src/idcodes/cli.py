@@ -290,6 +290,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         cf = codefile.read_code_file(args.compare)
         try:
             verdict = bounds_mod.compare(cf.code, args.r)
+        except KeyError as exc:  # no registry row for (r, n)
+            raise ValueError(exc.args[0]) from None
         except ValueError as exc:
             _emit(args, {"error": str(exc)}, [f"FAIL: {exc}"])
             return 1
@@ -420,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (extend.ExtensionError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -208,6 +208,8 @@ def _run_min_search(
     words = np.flatnonzero(candidates).tolist()
     if not 1 <= start_size <= len(words):
         raise ValueError(f"start_size {start_size} outside [1, {len(words)}]")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} must be >= 0")
     target_bits = int.from_bytes(np.packbits(targets, bitorder="little").tobytes(), "little")
     if canonical is None:
         canonical = n <= 5

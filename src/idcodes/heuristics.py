@@ -50,8 +50,8 @@ class NoisingParams:
     def __post_init__(self) -> None:
         if self.target_size < 1:
             raise ValueError("target_size must be >= 1")
-        if not self.rho_init > 0:
-            raise ValueError("rho_init must be > 0")
+        if not 0 < self.rho_init < float("inf"):
+            raise ValueError("rho_init must be finite and > 0")
         if self.rho_steps < 1 or self.sweeps_per_rho < 1 or self.max_iterations < 1:
             raise ValueError("rho_steps, sweeps_per_rho, max_iterations must be >= 1")
 
@@ -114,7 +114,9 @@ class _NoisingRun:
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         words = self.rng.choice(1 << n, size=params.target_size, replace=False)
         self.table = SignatureTable(n, r)
-        for w in sorted(words.tolist()):
+        # the visit cycle: a swap keeps its position, a shrink empties one
+        self.order: list[int | None] = sorted(words.tolist())
+        for w in self.order:
             self.table.add(w)
         self.iterations = 0
         self.trace: list[int] = [self.table.f]
@@ -145,13 +147,14 @@ class _NoisingRun:
                 raise _StopSearch
             if self.table.size <= 1:
                 return
-            slots = self.table.active_slots()
-            best = min(slots, key=lambda s: (self.table.remove_delta(s), self.table.word_at(s)))
-            self.table.remove_slot(best)
+            best = min(self.table.words(), key=lambda w: (self.table.remove_delta(w), w))
+            self.table.remove(best)
+            self.order[self.order.index(best)] = None
 
-    def _visit(self, slot: int, rho: float) -> None:
+    def _visit(self, i: int, rho: float) -> None:
         table = self.table
-        totals = table.swap_deltas(slot)
+        word = self.order[i]
+        totals = table.swap_deltas(word)
         allowed = ~table.word_mask
 
         big = np.iinfo(np.int64).max
@@ -166,8 +169,9 @@ class _NoisingRun:
             s0 = int(np.argmin(noisy))
             if noisy[s0] >= 0.0:
                 return  # rejected: the table was never touched
-        table.remove_slot(slot)
-        table.add(s0)  # into the freed slot (LIFO reuse)
+        table.remove(word)
+        table.add(s0)
+        self.order[i] = s0
         self.trace.append(table.f)
         self.best_f = min(self.best_f, table.f)
         if table.f == 0:
@@ -180,11 +184,11 @@ class _NoisingRun:
             while True:
                 for rho in self.params.schedule():
                     for _ in range(self.params.sweeps_per_rho):
-                        for slot in self.table.active_slots():
+                        for i, word in enumerate(self.order):
                             if self.iterations >= self.params.max_iterations:
                                 raise _StopSearch
-                            if self.table.slot_active(slot):  # else removed by a shrink
-                                self._visit(slot, float(rho))
+                            if word is not None:  # else removed by a shrink
+                                self._visit(i, float(rho))
         except _StopSearch:
             pass
         return SearchReport(
@@ -264,14 +268,15 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
         raise ValueError("restarts must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     table = SignatureTable.build(code, r)
-    free = [table.remove_delta(table.slot_of(w)) == 0 for w in code.words]
+    free = [table.remove_delta(w) == 0 for w in code.words]
     best: Code = code
     for _ in range(restarts):
         removed = []
         for i in rng.permutation(len(code.words)).tolist():
-            slot = table.slot_of(code.words[i])
-            if free[i] and table.size > 1 and table.remove_delta(slot) == 0:
-                removed.append(table.remove_slot(slot))
+            w = code.words[i]
+            if free[i] and table.size > 1 and table.remove_delta(w) == 0:
+                table.remove(w)
+                removed.append(w)
         if table.size < len(best):
             best = table.code()
         for w in reversed(removed):

@@ -1,7 +1,7 @@
 """Cover-set bookkeeping and the evaluation function f = nc + ns.
 
 For a code C in F^n and radius r, every vertex v gets a cover set: the set
-of codeword slots within distance r of v.  A code identifies F^n exactly
+of codewords within distance r of v.  A code identifies F^n exactly
 when every cover set is nonempty and no two vertices share one.  We track
 
   nc = number of vertices with an empty cover set,
@@ -23,7 +23,7 @@ Two evaluation paths are provided and cross-checked in the test suite:
   one-shot verification up to dimension MAX_EVAL_DIM.
 
 Cover-set classes are exact on both paths.  The table interns frozensets
-of slot indices (hash = fingerprint, equality = exact comparison).  The
+of codewords (hash = fingerprint, equality = exact comparison).  The
 static path walks the ball offsets: each column codewords ^ offset is
 duplicate-free, so it scatters straight into a covered flag and a 64-bit
 XOR fingerprint per vertex.  One sort of the covered fingerprints finds
@@ -77,9 +77,8 @@ def _pairs(k: int) -> int:
 class SignatureTable:
     """Mutable cover-set table for one (code, radius) pair.
 
-    Codewords occupy slots; cover sets are frozensets of slot indices,
-    interned to integer class ids.  A removed codeword frees its slot for
-    reuse, so a swap (remove then add) keeps all other slots stable.
+    Cover sets are frozensets of codewords, interned to integer class
+    ids.  Membership is ``word_mask`` and ``size``.
 
     Single-owner semantics: mutate from one thread at a time.
     """
@@ -92,22 +91,20 @@ class SignatureTable:
         n_verts = 1 << dim
         self._offsets = ball_offsets(dim, radius)
         self._key_id = np.zeros(n_verts, dtype=np.int64)
-        # class id -> key (frozenset of slots); id 0 = empty key, never freed
+        # class id -> key (frozenset of codewords); id 0 = empty key, never freed
         self._keys: dict[int, frozenset[int]] = {0: frozenset()}
         self._ids: dict[frozenset[int], int] = {frozenset(): 0}
         self._count = np.zeros(8, dtype=np.int64)
         self._count[_EMPTY_ID] = n_verts
         self._free_ids: list[int] = []
         self._next_id = 2
-        self._slots: list[int | None] = []
-        self._free_slots: list[int] = []
-        self._word_slot: dict[int, int] = {}
+        self.size = 0
         self.ns = _pairs(n_verts)
         self._word_mask = np.zeros(n_verts, dtype=bool)
         self.word_mask = self._word_mask.view()  # read-only, True at the codewords
         self.word_mask.flags.writeable = False
         self._delta = None  # (T0, Cn, Q) per candidate word, from the first score on
-        self._after = {}  # {slot: (T0, Cn, Q) without it} from swap_deltas, until a mutation
+        self._after = {}  # {word: (T0, Cn, Q) without it} from swap_deltas, until a mutation
 
     # -- construction ------------------------------------------------------
 
@@ -128,30 +125,8 @@ class SignatureTable:
     def f(self) -> int:
         return self.nc + self.ns
 
-    @property
-    def size(self) -> int:
-        return len(self._word_slot)
-
-    def slot_of(self, word: int) -> int:
-        return self._word_slot[word]
-
-    def has_word(self, word: int) -> bool:
-        return word in self._word_slot
-
-    def slot_active(self, slot: int) -> bool:
-        return 0 <= slot < len(self._slots) and self._slots[slot] is not None
-
-    def word_at(self, slot: int) -> int:
-        word = self._slots[slot]
-        if word is None:
-            raise KeyError(f"slot {slot} is empty")
-        return word
-
-    def active_slots(self) -> list[int]:
-        return [i for i, w in enumerate(self._slots) if w is not None]
-
     def words(self) -> list[int]:
-        return sorted(self._word_slot)
+        return np.flatnonzero(self._word_mask).tolist()
 
     def code(self) -> Code:
         return Code.from_words(self.words(), self.dim)
@@ -176,15 +151,15 @@ class SignatureTable:
         self._count[cid] = 0
         return cid
 
-    def _move_ball(self, word: int, slot: int, sign: int):
-        """Move B(word) from each class K to K | {slot} (sign +1) or K - {slot} (-1)."""
+    def _move_ball(self, word: int, sign: int):
+        """Move B(word) from each class K to K | {word} (sign +1) or K - {word} (-1)."""
         self._after = {}
         ball = self._offsets ^ np.uint32(word)
         group: dict[int, int] = {}
         inv = np.array([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()])
         old = np.fromiter(group, dtype=np.int64, count=len(group))
         moved = np.bincount(inv)
-        keys = [self._keys[cid] | {slot} if sign > 0 else self._keys[cid] - {slot} for cid in group]
+        keys = [self._keys[cid] | {word} if sign > 0 else self._keys[cid] - {word} for cid in group]
         self._count[old] -= moved
         left = self._count[old]
         for cid, c in zip(group, left.tolist()):
@@ -200,36 +175,29 @@ class SignatureTable:
 
     # -- mutations ---------------------------------------------------------
 
-    def add(self, word: int) -> int:
-        """Add a codeword; returns the slot it occupies."""
-        if word in self._word_slot:
-            raise ValueError(f"word {word} is already a codeword")
+    def _require(self, word: int, codeword: bool) -> None:
         if not 0 <= word < (1 << self.dim):
             raise ValueError(f"word {word} out of range for dim {self.dim}")
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = word
-        else:
-            slot = len(self._slots)
-            self._slots.append(word)
-        self._word_slot[word] = slot
+        if self._word_mask[word] != codeword:
+            raise ValueError(f"word {word} is {'not' if codeword else 'already'} a codeword")
+
+    def add(self, word: int) -> None:
+        """Add a codeword."""
+        self._require(word, False)
         self._word_mask[word] = True
-        ball, inv, old, moved, left = self._move_ball(word, slot, 1)
+        self.size += 1
+        ball, inv, old, moved, left = self._move_ball(word, 1)
         if self._delta is not None:  # the old classes are those of the table without `word`
             self._delta = tuple(map(np.add, self._delta, self._terms(ball, inv, old, moved, left)))
-        return slot
 
-    def remove_slot(self, slot: int) -> int:
-        """Remove the codeword in this slot; returns its word."""
-        word = self.word_at(slot)
-        if self._delta is not None:  # as swap_deltas(slot) left them, or afresh
-            self._delta = self._after.get(slot) or self._without(slot)[2]
-        self._move_ball(word, slot, -1)
-        self._slots[slot] = None
-        del self._word_slot[word]
+    def remove(self, word: int) -> None:
+        """Remove a codeword."""
+        self._require(word, True)
+        if self._delta is not None:  # as swap_deltas(word) left them, or afresh
+            self._delta = self._after.get(word) or self._without(word)[2]
+        self._move_ball(word, -1)
         self._word_mask[word] = False
-        self._free_slots.append(slot)
-        return word
+        self.size -= 1
 
     # -- deltas (no mutation) ----------------------------------------------
 
@@ -242,26 +210,26 @@ class SignatureTable:
         = V + 2 Q - Cn + T0 (T0 - nc - 2), where over B(s) T0 counts the
         uncovered vertices, Cn sums the class sizes of the covered ones and
         Q counts the pairs sharing a nonempty class.  The first call builds
-        T0, Cn and Q; add and remove_slot then keep them current at O(2^n)
+        T0, Cn and Q; add and remove then keep them current at O(2^n)
         per move, so each call is one vector expression.
         """
         if self._delta is None:
             self._start_tracking()
         return self._add_deltas(*self._delta, self.nc)
 
-    def swap_deltas(self, slot: int) -> np.ndarray:
-        """f(C - m + s) - f(C) for each word s, m the codeword in `slot`.
+    def swap_deltas(self, word: int) -> np.ndarray:
+        """f(C - m + s) - f(C) for each word s, m the codeword `word`.
 
         The table is not touched: remove_delta plus the add_delta_all
         formula over T0, Cn, Q and nc as they would be without m, which
         are computed out of place.  Entries at current codewords, m
-        included, are meaningless; mask them out.  A remove_slot(slot)
-        before any other mutation takes over those vectors.
+        included, are meaningless; mask them out.  A remove(word) before
+        any other mutation takes over those vectors.
         """
         if self._delta is None:
             self._start_tracking()
-        d_remove, nc, after = self._without(slot)
-        self._after = {slot: after}
+        d_remove, nc, after = self._without(word)
+        self._after = {word: after}
         return d_remove + self._add_deltas(*after, nc)
 
     def _add_deltas(self, t0, cn, q, nc: int) -> np.ndarray:
@@ -279,7 +247,7 @@ class SignatureTable:
         replay = SignatureTable(self.dim, self.radius)
         zero = np.zeros(1 << self.dim, dtype=np.int64)
         replay._delta = (zero + len(self._offsets), zero.copy(), zero)
-        for word in self._word_slot:
+        for word in self.words():
             replay.add(word)
         self._delta = replay._delta
 
@@ -313,38 +281,39 @@ class SignatureTable:
         cross = np.bincount(s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], minlength=len(t))
         return -t, len(fresh) * t - shrunk, t * (t - 1) // 2 - cross
 
-    def _removal(self, slot: int):
-        """remove_delta(slot) and the vertices it uncovers; then B(m) for the
-        codeword m in `slot`, the class ids of its vertices, and per class K
-        among them |K| and the id and size of K - {slot}.
+    def _removal(self, word: int):
+        """remove_delta(word) and the vertices it uncovers; then B(word), the
+        class ids of its vertices, and per class K among them |K| and the id
+        and size of K - {word}.
 
-        Every vertex whose cover set holds `slot` lies in B(m), so K sits
-        inside the ball and merges with K - {slot} outside it: |K| times
-        |K - {slot}| new pairs, and |K| uncovered vertices if K - {slot} is
-        empty.  A K - {slot} that is no class yet gets the id _NO_ID and
+        Every vertex whose cover set holds `word` lies in B(word), so K sits
+        inside the ball and merges with K - {word} outside it: |K| times
+        |K - {word}| new pairs, and |K| uncovered vertices if K - {word} is
+        empty.  A K - {word} that is no class yet gets the id _NO_ID and
         size 0.  Plain Python values: prune asks for thousands of balls.
         """
-        ball = self._offsets ^ np.uint32(self.word_at(slot))
+        self._require(word, True)
+        ball = self._offsets ^ np.uint32(word)
         ids = self._key_id[ball].tolist()
         moved = Counter(ids)
-        keys, get, drop = self._keys, self._ids.get, {slot}
+        keys, get, drop = self._keys, self._ids.get, {word}
         target = [get(keys[cid] - drop, _NO_ID) for cid in moved]
         size, k = self._count[target].tolist(), list(moved.values())
         gone = k[target.index(_EMPTY_ID)] if _EMPTY_ID in target else 0
         return sum(map(mul, k, size)) + gone, gone, ball, ids, moved, target, size
 
-    def _without(self, slot: int):
-        """remove_delta(slot), and nc and (T0, Cn, Q) after that removal."""
-        delta, gone, ball, ids, moved, target, size = self._removal(slot)
+    def _without(self, word: int):
+        """remove_delta(word), and nc and (T0, Cn, Q) after that removal."""
+        delta, gone, ball, ids, moved, target, size = self._removal(word)
         index = {cid: j for j, cid in enumerate(moved)}
         k1, base, k2 = (np.array(v) for v in (list(moved.values()), target, size))
         terms = self._terms(ball, np.array([index[cid] for cid in ids]), base, k1, k2)
         return delta, self.nc + gone, tuple(map(np.subtract, self._delta, terms))
 
-    def remove_delta(self, slot: int) -> int:
-        """f(C - codeword in slot) - f(C): each class in the codeword's ball
-        merges with the class of its key minus `slot` (see _removal)."""
-        return self._removal(slot)[0]
+    def remove_delta(self, word: int) -> int:
+        """f(C - word) - f(C) for a codeword: each class in its ball merges
+        with the class of its key minus `word` (see _removal)."""
+        return self._removal(word)[0]
 
     # -- integrity ---------------------------------------------------------
 
@@ -357,10 +326,9 @@ class SignatureTable:
         for cid, c in counted.items():
             assert int(self._count[cid]) == c, f"stale count for class {cid}"
         assert self.ns == sum(_pairs(c) for c in counted.values())
-        active = set(self.active_slots())
-        for cid in counted:
-            assert self._keys[cid] <= active, "cover set references a free slot"
-        assert self._word_mask.nonzero()[0].tolist() == self.words(), "stale codeword mask"
+        assert self.size == np.count_nonzero(self._word_mask), "stale size"
+        covering = frozenset().union(*(self._keys[cid] for cid in counted))
+        assert covering == set(self.words()), "cover sets disagree with the codeword mask"
 
 
 def _marks(k: int) -> np.ndarray:

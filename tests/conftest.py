@@ -141,14 +141,14 @@ def full_add_delta_all(table):
     return t_sq - cs - t_empty
 
 
-def full_swap_deltas(table, slot):
-    """f(C - m + s) - f(C) for each word s, m the codeword in `slot`: the
-    f-change of removing m plus the full pass after it.  m returns to
-    `slot` (LIFO reuse), so the table ends with the same code."""
+def full_swap_deltas(table, word):
+    """f(C - m + s) - f(C) for each word s, m the codeword `word`: the
+    f-change of removing m plus the full pass after it.  m is added back,
+    so the table ends with the same code."""
     f_before = table.f
-    word = table.remove_slot(slot)
+    table.remove(word)
     out = table.f - f_before + full_add_delta_all(table)
-    assert table.add(word) == slot
+    table.add(word)
     return out
 
 
@@ -169,11 +169,10 @@ def reference_prune(code, r, restarts=16, seed=0):
         while changed:
             changed = False
             for w in words:
-                if not table.has_word(w):
+                if not table.word_mask[w]:
                     continue
-                slot = table.slot_of(w)
-                if table.size > 1 and table.remove_delta(slot) == 0:
-                    table.remove_slot(slot)
+                if table.size > 1 and table.remove_delta(w) == 0:
+                    table.remove(w)
                     changed = True
         result = table.code()
         if len(result) < len(best):
@@ -257,7 +256,7 @@ class ReferenceSearcher(_Searcher):
 
 def scalar_add_delta(table, word):
     """f(C + word) - f(C) for one non-codeword, by counting classes."""
-    assert not table.has_word(word)
+    assert not table.word_mask[word]
     t = Counter(table._key_id[table._offsets ^ np.uint32(word)].tolist())
     delta = -t.get(0, 0)
     for cid, tk in t.items():
@@ -266,7 +265,7 @@ def scalar_add_delta(table, word):
 
 
 def cover_set(table, vertex):
-    """Slot indices of the codewords within the radius of this vertex."""
+    """The codewords within the radius of this vertex."""
     return table._keys[int(table._key_id[vertex])]
 
 

@@ -217,7 +217,7 @@ def test_criterion_08_incremental_equals_static():
     """A thousand random swaps on a live table never drift from the
     from-scratch evaluation.  Each swap is a noising visit's move: the
     f-change is predicted by swap_deltas, which must equal remove_delta
-    plus, after remove_slot, the new word's entry of add_delta_all, and
+    plus, after remove, the new word's entry of add_delta_all, and
     then the word is added."""
     rng = np.random.default_rng(0x5EED)
     n, r = 7, 2
@@ -225,14 +225,14 @@ def test_criterion_08_incremental_equals_static():
     table = SignatureTable.build(Code.from_words(words, n), r)
     mismatches = 0
     for step in range(1000):
-        slots = table.active_slots()
-        slot = int(slots[rng.integers(len(slots))])
-        outside = [w for w in range(1 << n) if not table.has_word(w)]
+        codewords = table.words()
+        old = int(codewords[rng.integers(len(codewords))])
+        outside = np.flatnonzero(~table.word_mask).tolist()
         word = int(outside[rng.integers(len(outside))])
         f_before = table.f
-        predicted = int(table.swap_deltas(slot)[word])
-        removal = table.remove_delta(slot)
-        table.remove_slot(slot)
+        predicted = int(table.swap_deltas(old)[word])
+        removal = table.remove_delta(old)
+        table.remove(old)
         assert removal + int(table.add_delta_all()[word]) == predicted
         table.add(word)
         ev = evaluate(table.code(), r)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code
+from idcodes import Code, cli
 from idcodes.cli import main
 from idcodes.codefile import (
     CodeFileError,
@@ -260,6 +260,14 @@ class TestCliConstruct:
         assert payload["seed"] in (0, 1)
         assert payload["size"] <= 8
 
+    def test_noising_infinite_rho_init_is_an_error(self, capsys):
+        rc = main([
+            "construct", "--method", "noising", "--r", "1", "--n", "6",
+            "--size", "21", "--rho-init", "inf", "--max-iterations", "300",
+        ])
+        assert rc == 2
+        assert "rho_init must be finite" in capsys.readouterr().err
+
     def test_noising_failure_exit(self, capsys):
         rc = main([
             "construct", "--method", "noising", "--r", "1", "--n", "3",
@@ -360,6 +368,10 @@ class TestCliExactAndBounds:
         assert main(["exact", "--r", "1", "--n", "5", "--budget", "3"]) == 1
         assert "budget exhausted" in capsys.readouterr().out
 
+    def test_exact_negative_budget_is_an_error(self, capsys):
+        assert main(["exact", "--r", "1", "--n", "5", "--budget", "-3"]) == 2
+        assert "budget -3 must be >= 0" in capsys.readouterr().err
+
     def test_exact_json_has_one_shape(self, capsys):
         keys = {"r", "n", "minimum", "nodes", "start_size", "infeasible_sizes", "code"}
         assert main(["exact", "--r", "1", "--n", "4", "--json"]) == 0
@@ -402,6 +414,22 @@ class TestCliExactAndBounds:
 
     def test_bounds_compare_unverified(self, bad_code, capsys):
         assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
+
+    def test_bounds_compare_untabulated_cell(self, capsys):
+        from importlib import resources
+
+        path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")
+        assert main(["bounds", "--compare", str(path), "--r", "7"]) == 2
+        assert capsys.readouterr().err == "error: no tabulated bounds for r=7, n=9\n"
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        # only parse and usage failures exit 2; a KeyError is a bug
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli.exact, "min_identifying", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["exact", "--r", "1", "--n", "4"])
 
 
 class TestShippedReferenceCode:

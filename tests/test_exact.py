@@ -154,6 +154,14 @@ class TestMinIdentifying:
         assert got.nodes == budget + 1
         assert got.infeasible_sizes == ()
 
+    @pytest.mark.parametrize("search", [
+        lambda: min_identifying(1, 5, budget=-3),
+        lambda: min_discriminating(1, 6, budget=-1),
+    ], ids=["identifying", "discriminating"])
+    def test_negative_budget_rejected(self, search):
+        with pytest.raises(ValueError, match="budget"):
+            search()
+
     def test_budget_equal_to_the_node_count_suffices(self):
         got = min_identifying(1, 5, budget=4949)
         assert got.size == 10 and got.minimal

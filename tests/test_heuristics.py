@@ -42,6 +42,9 @@ class TestNoisingParams:
             NoisingParams(target_size=0, rho_init=1.0)
         with pytest.raises(ValueError):
             NoisingParams(target_size=5, rho_init=0.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                NoisingParams(target_size=5, rho_init=bad)
         with pytest.raises(ValueError):
             NoisingParams(target_size=5, rho_init=1.0, rho_steps=0)
         with pytest.raises(ValueError):
@@ -152,9 +155,9 @@ class TestNoisingSearch:
         # strictly improve f, so the trace never rises
         run = _NoisingRun(1, 5, params(9, seed=2, iters=10_000), None)
         for _ in range(6):
-            for slot in list(run.table.active_slots()):
-                if run.table.slot_active(slot):
-                    run._visit(slot, 0.0)
+            for i, word in enumerate(run.order):
+                if word is not None:
+                    run._visit(i, 0.0)
             if run.table.f == 0:
                 break
         diffs = np.diff(np.array(run.trace))
@@ -403,9 +406,9 @@ class TestNoisingSameSeed:
         moved = []
         move_ball = SignatureTable._move_ball
 
-        def counted(self, word, slot, sign):
+        def counted(self, word, sign):
             moved.append(self)
-            return move_ball(self, word, slot, sign)
+            return move_ball(self, word, sign)
 
         monkeypatch.setattr(SignatureTable, "_move_ball", counted)
         run = _NoisingRun(r, n, _small_run(r, n, size), None)

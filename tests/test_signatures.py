@@ -278,15 +278,14 @@ class TestTableBuild:
         assert t.size == 0
         assert t.nc == 16
         assert t.ns == 16 * 15 // 2
-        assert t.active_slots() == []
+        assert t.words() == []
 
     def test_cover_set_and_class_counts(self):
         code = Code.from_words([0, 7], 3)
         t = SignatureTable.build(code, 1)
         cover = brute_cover_sets(code.words, 3, 1)
         for v in range(8):
-            got = {t.word_at(s) for s in cover_set(t, v)}
-            assert got == set(cover[v])
+            assert cover_set(t, v) == set(cover[v])
         counts = class_counts(t)
         assert sum(counts.values()) == 8
         assert all(c > 0 for c in counts.values())
@@ -309,7 +308,7 @@ class TestMutations:
         ev = evaluate(Code.from_words(words, n), r)
         assert (t.nc, t.ns) == (ev.nc, ev.ns)
         for w in words[:4]:
-            t.remove_slot(t.slot_of(int(w)))
+            t.remove(int(w))
         t.check()
         rest = Code.from_words(words[4:], n)
         ev = evaluate(rest, r)
@@ -321,6 +320,8 @@ class TestMutations:
         t.add(5)
         with pytest.raises(ValueError):
             t.add(5)
+        t.check()
+        assert t.words() == [5]
 
     def test_out_of_range_add_rejected(self):
         t = SignatureTable(3, 1)
@@ -329,33 +330,36 @@ class TestMutations:
 
     def test_remove_unknown_word(self):
         t = SignatureTable(3, 1)
-        with pytest.raises(KeyError):
-            t.remove_slot(t.slot_of(5))
-
-    def test_slot_reuse_is_lifo(self):
-        t = SignatureTable(4, 1)
-        s0 = t.add(0)
-        s1 = t.add(15)
-        t.remove_slot(s0)
-        assert not t.slot_active(s0)
-        s2 = t.add(7)
-        assert s2 == s0  # freed slot reused first
-        assert t.slot_active(s1)
-
-    def test_swap_keeps_slot(self):
-        # remove_slot then add, the noising move, puts the new word into
-        # the freed slot (LIFO reuse)
-        t = SignatureTable(4, 1)
-        t.add(0)
-        slot = t.add(15)
-        t.add(5)
-        assert t.remove_slot(slot) == 15
-        assert t.add(9) == slot
-        assert t.word_at(slot) == 9
-        assert t.has_word(9) and not t.has_word(15)
-        ev = evaluate(Code.from_words([0, 9, 5], 4), 1)
-        assert (t.nc, t.ns) == (ev.nc, ev.ns)
+        t.add(2)
+        with pytest.raises(ValueError):
+            t.remove(5)
         t.check()
+        assert t.words() == [2]
+
+    @pytest.mark.parametrize("call,word", [
+        ("remove", 16),  # out of range
+        ("remove", -1),  # negative: no wrap-around to the last word
+        ("remove_delta", 5),  # not a codeword
+        ("remove_delta", -1),
+        ("swap_deltas", 5),
+        ("add", -1),
+    ])
+    def test_word_guards_leave_the_table_intact(self, call, word):
+        t = SignatureTable(4, 1)
+        for w in (3, 9, 15):
+            t.add(w)
+        state = (t.words(), t.size, t.nc, t.ns)
+        with pytest.raises(ValueError):
+            getattr(t, call)(word)
+        t.check()
+        assert (t.words(), t.size, t.nc, t.ns) == state
+
+    def test_check_catches_a_stale_size(self):
+        t = SignatureTable(4, 1)
+        t.add(3)
+        t.size += 1
+        with pytest.raises(AssertionError, match="stale size"):
+            t.check()
 
     def test_long_random_mutation_storm(self, rng):
         n, r = 5, 2
@@ -370,16 +374,15 @@ class TestMutations:
                 present.add(w)
             elif op == 1 and len(present) > 1:
                 w = int(rng.choice(sorted(present)))
-                t.remove_slot(t.slot_of(w))
+                t.remove(w)
                 present.discard(w)
             else:
-                slot = int(rng.choice(t.active_slots()))
-                old = t.word_at(slot)
+                old = int(rng.choice(t.words()))
                 choices = [w for w in range(32) if w not in present]
                 if not choices:
                     continue
                 w = int(rng.choice(choices))
-                t.remove_slot(slot)
+                t.remove(old)
                 t.add(w)
                 present.discard(old)
                 present.add(w)
@@ -398,13 +401,13 @@ class TestDeltas:
         for _ in range(6):
             code = random_code(rng, n, kmin=1, kmax=min(10, (1 << n) - 2))
             t = SignatureTable.build(code, r)
-            candidates = [w for w in range(1 << n) if not t.has_word(w)]
+            candidates = np.flatnonzero(~t.word_mask).tolist()
             for w in candidates[:8]:
                 predicted = scalar_add_delta(t, w)
                 before = t.f
                 t.add(w)
                 assert t.f - before == predicted
-                t.remove_slot(t.slot_of(w))
+                t.remove(w)
                 assert t.f == before
 
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -415,7 +418,7 @@ class TestDeltas:
             vec = t.add_delta_all()
             assert vec.shape == (1 << n,)
             for w in range(1 << n):
-                if not t.has_word(w):
+                if not t.word_mask[w]:
                     assert int(vec[w]) == scalar_add_delta(t, w)
 
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -423,12 +426,12 @@ class TestDeltas:
         for _ in range(6):
             code = random_code(rng, n, kmin=3)
             t = SignatureTable.build(code, r)
-            for slot in list(t.active_slots()):
-                predicted = t.remove_delta(slot)
+            for word in t.words():
+                predicted = t.remove_delta(word)
                 before = t.f
-                word = t.remove_slot(slot)
+                t.remove(word)
                 assert t.f - before == predicted
-                assert t.add(word) == slot
+                t.add(word)
                 assert t.f == before
 
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -436,18 +439,18 @@ class TestDeltas:
         for _ in range(6):
             code = random_code(rng, n, kmin=2, kmax=min(8, (1 << n) - 2))
             t = SignatureTable.build(code, r)
-            slots = t.active_slots()
-            outside = [w for w in range(1 << n) if not t.has_word(w)]
+            words = t.words()
+            outside = np.flatnonzero(~t.word_mask).tolist()
             for _ in range(10):
-                slot = int(rng.choice(slots))
+                old = int(rng.choice(words))
                 w = int(rng.choice(outside))
                 before = t.f
-                predicted = int(t.swap_deltas(slot)[w])
-                old = t.remove_slot(slot)
-                assert t.add(w) == slot
+                predicted = int(t.swap_deltas(old)[w])
+                t.remove(old)
+                t.add(w)
                 assert t.f - before == predicted
-                assert int(t.swap_deltas(slot)[old]) == -predicted
-                t.remove_slot(slot)
+                assert int(t.swap_deltas(w)[old]) == -predicted
+                t.remove(w)
                 t.add(old)
                 assert t.f == before
 
@@ -456,9 +459,8 @@ class TestDeltas:
         # be scored on the classes as they are after the removal
         t = SignatureTable.build(Code.from_words([0, 12], 4), 1)
         before = t.f
-        slot = t.slot_of(0)
-        predicted = int(t.swap_deltas(slot)[1])  # distance 1 from 0
-        t.remove_slot(slot)
+        predicted = int(t.swap_deltas(0)[1])  # distance 1 from 0
+        t.remove(0)
         t.add(1)
         assert t.f - before == predicted
         t.check()
@@ -486,9 +488,9 @@ class TestMaintainedDeltas:
         for step in range(steps):
             if step == first_call:
                 tracking = True
-            slots = t.active_slots()
-            if slots and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
-                t.remove_slot(data.draw(st.sampled_from(slots), label="slot"))
+            words = t.words()
+            if words and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
+                t.remove(data.draw(st.sampled_from(words), label="removed word"))
             else:
                 outside = np.flatnonzero(~t.word_mask).tolist()
                 t.add(data.draw(st.sampled_from(outside), label="word"))
@@ -497,17 +499,16 @@ class TestMaintainedDeltas:
             if tracking:
                 assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
 
-    def test_slot_reuse_keeps_vector_exact(self, rng):
-        # remove then re-add through the same freed slot, as a swap does
+    def test_remove_and_readd_keeps_vector_exact(self, rng):
+        # remove a codeword and add the same word back
         n, r = 6, 2
         t = SignatureTable.build(random_code(rng, n, kmin=6, kmax=10), r)
         t.add_delta_all()
         for _ in range(40):
-            slot = int(rng.choice(t.active_slots()))
-            t.remove_slot(slot)
+            word = int(rng.choice(t.words()))
+            t.remove(word)
             assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
-            word = int(rng.choice(np.flatnonzero(~t.word_mask)))
-            assert t.add(word) == slot  # LIFO: the freed slot again
+            t.add(word)
             assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
         t.check()
 
@@ -515,7 +516,7 @@ class TestMaintainedDeltas:
         t = SignatureTable(4, 1)
         for w in (3, 9, 14):
             t.add(w)
-        t.remove_slot(t.slot_of(9))
+        t.remove(9)
         assert np.flatnonzero(t.word_mask).tolist() == [3, 14]
         with pytest.raises(ValueError):
             t.word_mask[0] = True  # a read-only view
@@ -532,29 +533,29 @@ class TestSwapDeltas:
         r = data.draw(st.integers(1, 2), label="r")
         t = SignatureTable(n, r)
         for _ in range(data.draw(st.integers(1, 12), label="visits")):
-            slots = t.active_slots()
-            if slots and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
-                t.remove_slot(data.draw(st.sampled_from(slots), label="removed slot"))
+            words = t.words()
+            if words and (t.size == 1 << n or data.draw(st.booleans(), label="remove")):
+                t.remove(data.draw(st.sampled_from(words), label="removed word"))
             else:
                 t.add(data.draw(st.sampled_from(np.flatnonzero(~t.word_mask).tolist()), label="word"))
             if not t.size:
                 continue
-            slot = data.draw(st.sampled_from(t.active_slots()), label="slot")
+            word = data.draw(st.sampled_from(t.words()), label="scored word")
             words, f, adds = t.words(), t.f, t.add_delta_all()
-            scores = t.swap_deltas(slot)
+            scores = t.swap_deltas(word)
             t.check()
             assert (t.words(), t.f) == (words, f)
             assert np.array_equal(t.add_delta_all(), adds)
             # the same removal made for real on a second table
             ref = SignatureTable.build(t.code(), r)
-            ref.remove_slot(ref.slot_of(t.word_at(slot)))
-            removal = t.remove_delta(slot)
+            ref.remove(word)
+            removal = t.remove_delta(word)
             assert ref.f - f == removal
             outside = ~t.word_mask
             assert np.array_equal(scores[outside], (removal + full_add_delta_all(ref))[outside])
             if outside.any() and data.draw(st.booleans(), label="mutate in between"):
                 t.add(data.draw(st.sampled_from(np.flatnonzero(outside).tolist()), label="between"))
-            t.remove_slot(slot)
+            t.remove(word)
             t.check()
             assert (t.nc, t.ns) == _static_nc_ns(t)
             assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
@@ -564,14 +565,14 @@ class TestSwapDeltas:
         computed = []
         without = SignatureTable._without
         monkeypatch.setattr(SignatureTable, "_without",
-                            lambda self, slot: computed.append(slot) or without(self, slot))
-        a, b = t.active_slots()[:2]
+                            lambda self, word: computed.append(word) or without(self, word))
+        a, b = t.words()[:2]
         t.swap_deltas(a)
-        t.remove_slot(a)  # straight after scoring the same slot: reused
+        t.remove(a)  # straight after scoring the same word: reused
         assert computed == [a]
         t.swap_deltas(b)
         t.add(int(np.flatnonzero(~t.word_mask)[0]))
-        t.remove_slot(b)  # a mutation came in between: recomputed
+        t.remove(b)  # a mutation came in between: recomputed
         assert computed == [a, b, b]
         assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
         t.check()
