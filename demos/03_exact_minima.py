@@ -31,7 +31,9 @@ for p in (3, 4, 5):
 
 # Discriminating codes live in the even-weight half and must identify the
 # odd-weight vertices; their minimum sits one dimension above the
-# matching identifying minimum.
+# matching identifying minimum.  That is the paper's theorem; the test
+# suite checks it by exhaustion for every odd r and n <= 5 with r < n
+# (tests/test_exact.py, TestTheorem).
 disc = min_discriminating(1, 5)
 print("\nminimum 1-discriminating size in F^5:", disc.size)
 print("equals the 1-identifying minimum in F^4:", min_identifying(1, 4).size)

@@ -14,6 +14,13 @@ bitmasks; a branch dies as soon as some class can no longer be split into
 small enough pieces, some vertex can no longer be covered, or some pair
 has no remaining separator.  Each child is counted, then checked cheapest
 rule first in its parent's loop before its classes are kept.
+
+Coordinate permutations fix 0^n and map codes of each kind onto codes of
+the same kind.  So by default, at every n, a partial code with at most
+_CANONICAL_DEPTH words besides 0^n is kept only if it is a lex-leader: no
+permutation maps it onto a set with a smaller increasing listing.  One
+numpy pass checks all n! - 1 permutations, reading the words' images from
+a table of one byte per image.  canonical=False turns this off.
 """
 
 from __future__ import annotations
@@ -28,11 +35,14 @@ from .hypercube import Code, ball_offsets, ball_size, odd_mask, permute_words
 from .signatures import evaluate
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
-# bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader tables
-# (n! - 1) * 2^n words: as uint32, about 41 MB at n = 8 and 0.74 GB at n = 9.
+# bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
+# (n! - 1) * 2^n bytes: 10.3 MB at n = 8 and 0.19 GB at n = 9.  Building it
+# at n = 8 peaks near 130 MB above that, in permute_words's uint32 arrays.
 MAX_EXACT_DIM = 8
 # Partial codes are tested for lex-leadership while they have at most this
-# many words besides 0^n.
+# many words besides 0^n.  Timed on the bench's exact cells, depth 3 has
+# the least total time: depth 2 walks 1.7 times its nodes, and at depth 4
+# or 5 the extra tests cost more than the nodes they prune.
 _CANONICAL_DEPTH = 3
 
 
@@ -78,7 +88,6 @@ class _Searcher:
         canonical: bool,
     ) -> None:
         self.n = n
-        self.r = r
         self.cands = candidates
         self.allow_one_uncovered = allow_one_uncovered
         self.budget = budget
@@ -102,19 +111,26 @@ class _Searcher:
         # reach[i]: the target vertices candidates i, i+1, ... still cover
         reach = itertools.accumulate(reversed(self.ballmask), int.__or__, initial=0)
         self.reach = list(reach)[::-1]
-        self.perms = []
+        self.images = None
         if canonical:
             others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
             perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
-            self.perms = permute_words(np.arange(1 << n), perms, n).tolist()
+            # row w: w's image under every permutation but the identity
+            images = permute_words(np.arange(1 << n), perms, n).T
+            self.images = images.astype(np.min_scalar_type((1 << n) - 1), order="C")
 
     def _canonical(self, words: tuple[int, ...]) -> bool:
-        ref = list(words)
-        for table in self.perms:
-            img = sorted(table[w] for w in words)
-            if img < ref:
-                return False
-        return True
+        """True iff no permutation maps the increasing words onto a set with a
+        smaller increasing listing.  Every permutation fixes words[0] = 0^n;
+        the other images are sorted per permutation (one column each) and
+        packed n bits a word, first word highest, so integer order is list
+        order."""
+        img = np.sort(self.images[list(words[1:])], axis=0)
+        packed, ref = np.zeros(self.images.shape[1], dtype=np.int64), 0
+        for row, w in zip(img, words[1:]):
+            packed = packed << self.n | row
+            ref = ref << self.n | w
+        return not (packed < ref).any()
 
     def _dfs(self, lo: int, hi: int, words: tuple[int, ...], classes: list[int],
              uncov: int, remaining: int):
@@ -132,7 +148,7 @@ class _Searcher:
         most = limit if self.allow_one_uncovered else min(limit - 1, remaining * self.vol)
         cover = self.covermask
         budget = self.budget
-        lex = self.perms and len(words) <= _CANONICAL_DEPTH
+        lex = self.images is not None and len(words) <= _CANONICAL_DEPTH
         for j in range(lo, hi):
             if lex and not self._canonical(words + (self.cands[j],)):
                 continue
@@ -194,16 +210,9 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the exhaustive cap {cap}")
 
 
-def _run_min_search(
-    n: int,
-    r: int,
-    candidates: np.ndarray,
-    targets: np.ndarray,
-    allow_one_uncovered: bool,
-    start_size: int,
-    budget: int | None,
-    canonical: bool | None,
-) -> SearchOutcome:
+def _run_min_search(n: int, r: int, candidates: np.ndarray, targets: np.ndarray,
+                    allow_one_uncovered: bool, start_size: int, budget: int | None,
+                    canonical: bool) -> SearchOutcome:
     """Ascend sizes from start_size; candidates and targets are boolean masks over F^n."""
     words = np.flatnonzero(candidates).tolist()
     if not 1 <= start_size <= len(words):
@@ -211,35 +220,27 @@ def _run_min_search(
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be >= 0")
     target_bits = int.from_bytes(np.packbits(targets, bitorder="little").tobytes(), "little")
-    if canonical is None:
-        canonical = n <= 5
-    searcher = _Searcher(
-        n, r, words, target_bits, allow_one_uncovered, budget, canonical
-    )
+    searcher = _Searcher(n, r, words, target_bits, allow_one_uncovered, budget, canonical)
     infeasible = []
-    for size in range(start_size, len(words) + 1):
-        try:
+    hit = None
+    try:
+        for size in range(start_size, len(words) + 1):
             hit = searcher.search_size(size)
-        except BudgetExhausted:
-            return SearchOutcome(
-                code=None,
-                size=None,
-                minimal=False,
-                nodes=searcher.nodes,
-                start_size=start_size,
-                infeasible_sizes=tuple(infeasible),
-            )
-        if hit is not None:
-            return SearchOutcome(
-                code=Code.from_words(hit, n),
-                size=size,
-                minimal=True,
-                nodes=searcher.nodes,
-                start_size=start_size,
-                infeasible_sizes=tuple(infeasible),
-            )
-        infeasible.append(size)
-    raise AssertionError("the full candidate set always satisfies the property")
+            if hit is not None:
+                break
+            infeasible.append(size)
+        else:
+            raise AssertionError("the full candidate set always satisfies the property")
+    except BudgetExhausted:
+        pass
+    return SearchOutcome(
+        code=None if hit is None else Code.from_words(hit, n),
+        size=None if hit is None else len(hit),
+        minimal=hit is not None,
+        nodes=searcher.nodes,
+        start_size=start_size,
+        infeasible_sizes=tuple(infeasible),
+    )
 
 
 def min_identifying(
@@ -248,20 +249,20 @@ def min_identifying(
     budget: int | None = None,
     start_size: int | None = None,
     cap: int = 5,
-    canonical: bool | None = None,
+    canonical: bool = True,
 ) -> SearchOutcome:
     """Minimum r-identifying code in F^n, sizes ascending from the
-    registry lower bound (or start_size).  Exhaustive-scale only."""
+    registry lower bound (or start_size).  Exhaustive-scale only.
+    canonical=True, the default at every n, skips partial codes that are
+    not lex-leaders: fewer nodes, perhaps another code, the same size."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     if r >= n:
         raise ValueError(f"no identifying code exists for r={r}, n={n}")
     _check_cap(n, cap)
     if start_size is None:
-        try:
-            start_size = bounds.lookup(r, n).lower
-        except KeyError:
-            start_size = 1
+        record = bounds.load_registry().get((r, n))
+        start_size = 1 if record is None else record.lower
     everything = np.ones(1 << n, dtype=bool)
     return _run_min_search(
         n, r, everything, everything, False, start_size, budget, canonical
@@ -272,12 +273,13 @@ def min_separating(
     p: int,
     k: int,
     budget: int | None = None,
-    canonical: bool | None = None,
+    canonical: bool = True,
 ) -> SearchOutcome:
     """Minimum k-separating code in F^p (exhaustive; p <= 5).
 
     The result size is checked against the bracket [M_k(p) - 1, M_k(p)]
-    whenever the registry knows M_k(p) exactly.
+    whenever the registry knows M_k(p) exactly.  canonical: as for
+    min_identifying.
 
     k = p - 1 is the slow corner.  A ball then misses only the antipode, so
     every vertex whose antipode is not a codeword has cover set C, and at
@@ -289,17 +291,13 @@ def min_separating(
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
     everything = np.ones(1 << p, dtype=bool)
     outcome = _run_min_search(p, k, everything, everything, True, 1, budget, canonical)
-    if outcome.size is not None:
-        try:
-            record = bounds.lookup(k, p)
-        except KeyError:
-            record = None
-        if record is not None and record.exact:
-            if outcome.size not in (record.upper - 1, record.upper):
-                raise RuntimeError(
-                    f"separating minimum {outcome.size} outside "
-                    f"[{record.upper - 1}, {record.upper}] for k={k}, p={p}"
-                )
+    record = bounds.load_registry().get((k, p))
+    if outcome.size is not None and record is not None and record.exact:
+        if outcome.size not in (record.upper - 1, record.upper):
+            raise RuntimeError(
+                f"separating minimum {outcome.size} outside "
+                f"[{record.upper - 1}, {record.upper}] for k={k}, p={p}"
+            )
     return outcome
 
 
@@ -309,12 +307,12 @@ def min_discriminating(
     budget: int | None = None,
     start_size: int | None = None,
     cap: int = 6,
-    canonical: bool | None = None,
+    canonical: bool = True,
 ) -> SearchOutcome:
     """Minimum r-discriminating code in F^n (r odd, codewords even,
     odd vertices identified).  Sizes ascend from start_size (default 1),
     so the result is independent of the identifying tables.  For n >= 2
-    a code exists only when r <= n - 2."""
+    a code exists only when r <= n - 2.  canonical: as for min_identifying."""
     if r % 2 == 0:
         raise ValueError("the property is defined for odd radii only")
     if not 1 <= r <= n:

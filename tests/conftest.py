@@ -31,7 +31,10 @@ one removes nothing.
 
 ``ReferenceSearcher`` is the exact search that decided each child only
 after recursing into it; the exact tests require identical outcomes and
-node counts from the production loop.
+node counts from the production loop.  ``reference_canonical`` is its
+lex-leader test, the first one: a sorted() image per permutation, from
+permutation tables built in plain Python, where the production search
+sorts every image at once in numpy.
 
 One Hypothesis profile serves the whole suite: no deadline (the examples
 build tables and search, so their times vary with the machine) and a
@@ -40,6 +43,8 @@ reproduction blob printed with every failure.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from collections import Counter
 
@@ -180,10 +185,33 @@ def reference_prune(code, r, restarts=16, seed=0):
     return best
 
 
+@functools.cache
+def reference_images(n):
+    """One list per coordinate permutation of F^n but the identity: word ->
+    its image, with bit j moved to bit p[j]."""
+    others = itertools.islice(itertools.permutations(range(n)), 1, None)
+    return [[sum(((w >> j) & 1) << p[j] for j in range(n)) for w in range(1 << n)]
+            for p in others]
+
+
+def reference_canonical(words, n):
+    """The first lex-leader test: one sorted() image per permutation,
+    compared as a list with the increasing words."""
+    ref = list(words)
+    for table in reference_images(n):
+        if sorted(table[w] for w in words) < ref:
+            return False
+    return True
+
+
 class ReferenceSearcher(_Searcher):
     """The exact search as it first stood: the parent splits each class by
     the child's ball and builds the child's class list, recurses, and only
-    then does the child test itself against every rule."""
+    then does the child test itself against every rule.  Its lex-leader
+    test is ``reference_canonical``."""
+
+    def _canonical(self, words):
+        return reference_canonical(words, self.n)
 
     def _feasible(self, classes, uncov, remaining, rmask):
         limit = 1 << remaining
@@ -240,7 +268,7 @@ class ReferenceSearcher(_Searcher):
             if fresh.bit_count() >= 2:
                 new_classes.append(fresh)
             new_words = words + (self.cands[j],)
-            if self.perms and len(new_words) - 1 <= _CANONICAL_DEPTH:
+            if self.images is not None and len(new_words) - 1 <= _CANONICAL_DEPTH:
                 if not self._canonical(new_words):
                     continue
             hit = self._dfs(j + 1, new_words, new_classes, uncov & ~ball, remaining - 1)

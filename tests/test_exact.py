@@ -1,10 +1,14 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import Code, exact, evaluate, is_identifying
-from idcodes.convert import is_discriminating
+from idcodes.convert import is_discriminating, to_identifying
 from idcodes.exact import (
+    _CANONICAL_DEPTH,
     MAX_EXACT_DIM,
     SearchOutcome,
     is_separating,
@@ -13,7 +17,7 @@ from idcodes.exact import (
     min_separating,
 )
 
-from conftest import ReferenceSearcher, oracle_eval, random_code
+from conftest import ReferenceSearcher, oracle_eval, random_code, reference_canonical
 
 
 def _ball_masks(n, r):
@@ -278,7 +282,7 @@ class TestSearchGuards:
 
 
 class TestCanonicalPruning:
-    # lex-leader pruning is on by default for n <= 5; the node counts pin
+    # lex-leader pruning is on by default at every n; the node counts pin
     # the permutation tables it walks
     @pytest.mark.parametrize(
         "search,args,nodes",
@@ -293,19 +297,89 @@ class TestCanonicalPruning:
     def test_node_counts(self, search, args, nodes):
         assert search(*args).nodes == nodes
 
+    @pytest.mark.parametrize(
+        "r,nodes,words",
+        [
+            (1, 7402, (0, 3, 5, 9, 17, 30, 46, 54, 58, 60)),
+            (3, 10219, (0, 3, 5, 9, 17, 30, 46, 54, 58, 60)),
+        ],
+    )
+    def test_n6_discriminating_outcome(self, r, nodes, words):
+        got = min_discriminating(r, 6)
+        assert (got.size, got.nodes, got.infeasible_sizes) == (10, nodes, tuple(range(1, 10)))
+        assert tuple(got.code.words) == words
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_n6_discriminating_without_pruning_agrees(self, r):
+        on = min_discriminating(r, 6)
+        off = min_discriminating(r, 6, canonical=False)
+        assert (on.size, on.infeasible_sizes) == (off.size, off.infeasible_sizes)
+        assert on.nodes < off.nodes
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_numpy_check_matches_loop(self, data):
+        # 0^n plus 1 to _CANONICAL_DEPTH + 1 increasing words
+        n = data.draw(st.integers(3, 7), label="n")
+        k = data.draw(st.integers(1, min(_CANONICAL_DEPTH + 1, (1 << n) - 1)), label="k")
+        rest = data.draw(st.sets(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+        words = (0, *sorted(rest))
+        assert _lex_searcher(n)._canonical(words) == reference_canonical(words, n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_numpy_check_matches_loop_on_every_small_code(self, n):
+        searcher = _lex_searcher(n)
+        leaders = 0
+        for k in range(1, _CANONICAL_DEPTH + 2):
+            for rest in itertools.combinations(range(1, 1 << n), k):
+                words = (0, *rest)
+                verdict = searcher._canonical(words)
+                assert verdict == reference_canonical(words, n), words
+                leaders += verdict
+        assert leaders > 0
+
+    def test_n7_table_is_one_byte_per_image(self):
+        images = _lex_searcher(7).images
+        assert images.shape == (128, 5039)
+        assert images.dtype.itemsize == 1
+        assert images.flags.c_contiguous
+
+
+@functools.cache
+def _lex_searcher(n):
+    """A searcher over all of F^n at radius 1, for its lex-leader test."""
+    return exact._Searcher(n, 1, list(range(1 << n)), (1 << (1 << n)) - 1, False, None, True)
+
+
+class TestTheorem:
+    # the paper's theorem, by exhaustion: for odd r, deleting a coordinate
+    # maps the r-discriminating codes of F^(n+1) one-to-one onto the
+    # r-identifying codes of F^n, so the two minima are equal
+    @pytest.mark.parametrize(
+        "r,n", [(r, n) for r in (1, 3) for n in range(2, 6) if r < n]
+    )
+    def test_identifying_minimum_equals_discriminating_one_up(self, r, n):
+        ident = min_identifying(r, n, start_size=1)
+        disc = min_discriminating(r, n + 1)
+        assert ident.minimal and disc.minimal
+        assert ident.size == disc.size
+        back = to_identifying(disc.code)
+        assert len(back) == disc.size
+        assert evaluate(back, r).f == 0
+
 
 class TestGoldenOutcomes:
     # whole outcomes, recorded before the search loop was restructured:
-    # canonical pruning off, an n = 6 cell, and an open budgeted run
+    # canonical pruning off at n = 4 and at n = 6, and an open budgeted run
     @pytest.mark.parametrize(
         "search,args,kwargs,size,nodes,start,infeasible,words",
         [
             (min_identifying, (1, 4), {"start_size": 1, "canonical": False},
              7, 743, 1, (1, 2, 3, 4, 5, 6), (0, 1, 2, 5, 6, 11, 13)),
-            (min_discriminating, (1, 6), {},
+            (min_discriminating, (1, 6), {"canonical": False},
              10, 92389, 1, tuple(range(1, 10)),
              (0, 3, 5, 9, 17, 30, 46, 54, 58, 60)),
-            (min_identifying, (1, 6), {"budget": 50_000, "cap": 6},
+            (min_identifying, (1, 6), {"budget": 50_000, "cap": 6, "canonical": False},
              None, 50001, 18, (), None),
         ],
     )
