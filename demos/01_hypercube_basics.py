@@ -1,20 +1,22 @@
-"""Tour of the F^n primitives: vectors, distances, balls, codes."""
+"""Tour of the F^n primitives: words, distances, balls, codes."""
 
-from idcodes import BitVector, Code, ball, ball_size, direct_sum, distance, sphere
+from idcodes import Code, ball_size, direct_sum
+from idcodes.hypercube import annulus_offsets, ball_offsets
 
-# Vectors are integers tagged with a dimension.  Coordinate 1 is the most
-# significant bit, so the printed form reads left to right.
-v = BitVector(385, 9)
-print("vector:", v, "  decimal:", v.word, "  weight:", v.weight)
+# Vertices are plain ints.  Coordinate 1 is the most significant bit, so
+# the printed form reads left to right.
+v = 385
+print("vector:", format(v, "09b"), "  decimal:", v, "  weight:", v.bit_count())
 
-w = BitVector(0b110000000, 9)
-print("distance to", w, "is", distance(v, w))
+w = 0b110000000
+print("distance to", format(w, "09b"), "is", (v ^ w).bit_count())
 
-# Balls and spheres around a center, with the closed-form count alongside.
-center = BitVector(0, 5)
+# Balls and spheres around a center are XOR masks, with the closed-form
+# count alongside.
+center = 0
 print("\n|B(x, 2)| in F^5 =", ball_size(5, 2))
-print("enumerated:", len(ball(center, 2)))
-print("sphere at distance 2:", sorted(u.word for u in sphere(center, 2)))
+print("enumerated:", len(ball_offsets(5, 2) ^ center))
+print("sphere at distance 2:", sorted((annulus_offsets(5, 2, 2) ^ center).tolist()))
 
 # Codes are sorted duplicate-free word tuples.
 code = Code.from_words([6, 3, 17, 3], 5)

@@ -28,7 +28,6 @@ from .codefile import (
 from .convert import (
     DiscriminatingReport,
     discriminating_report,
-    even_words,
     is_discriminating,
     to_discriminating,
     to_identifying,
@@ -57,22 +56,16 @@ from .heuristics import (
     NoisingParams,
     SearchReport,
     default_params,
-    greedy_and_prune,
     greedy_construct,
     noising_search,
     prune,
 )
 from .hypercube import (
     MAX_DIM,
-    BitVector,
     Code,
-    apply_isometry,
-    ball,
     ball_size,
     direct_sum,
-    distance,
     full_space,
-    sphere,
 )
 from .signatures import (
     Evaluation,
@@ -86,7 +79,6 @@ from .signatures import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector",
     "BoundRecord",
     "BudgetExhausted",
     "Code",
@@ -103,9 +95,7 @@ __all__ = [
     "SignatureTable",
     "VerificationFailed",
     "VerifyReport",
-    "apply_isometry",
     "apply_plan",
-    "ball",
     "ball_size",
     "check_consistency",
     "classify_size",
@@ -117,13 +107,10 @@ __all__ = [
     "direct_sum",
     "discriminating_lookup",
     "discriminating_report",
-    "distance",
     "evaluate",
-    "even_words",
     "extend_c1",
     "extend_c2",
     "full_space",
-    "greedy_and_prune",
     "greedy_construct",
     "is_discriminating",
     "is_identifying",
@@ -140,7 +127,6 @@ __all__ = [
     "prune",
     "read_code_file",
     "serialize_code",
-    "sphere",
     "to_discriminating",
     "to_identifying",
     "write_code_file",

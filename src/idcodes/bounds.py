@@ -281,10 +281,13 @@ def check_consistency() -> ConsistencyReport:
 def classify_size(r: int, n: int, size: int) -> str:
     """Place a verified code size against the registry bounds for (r, n).
 
-    Returns one of "matches-upper", "beats-upper", "between",
-    "violates-lower".  A size below the proven lower bound is impossible
-    for a genuinely r-identifying code, so "violates-lower" means the
-    verification pipeline itself is broken somewhere.
+    Returns one of four labels:
+
+    * "violates-lower": size < lower.  No genuinely r-identifying code is
+      that small, so the verification pipeline itself is broken somewhere.
+    * "beats-upper": lower <= size < upper, smaller than the best known code.
+    * "matches-upper": size == upper.
+    * "between": size > upper, larger than the best known code.  Only then.
     """
     rec = lookup(r, n)
     if size < rec.lower:

@@ -7,9 +7,10 @@ discriminating forms, run the exact minimum search, and query or check
 the bounds registry.
 
 Exit codes: 0 success / property holds, 1 property fails or search came
-up empty, 2 usage or parse errors.  Every subcommand accepts --json for
-machine-readable output.  File writes are atomic, and subcommands refuse
-to write a code that failed verification unless --unchecked is passed.
+up empty, 2 usage or parse errors, or a path that cannot be read or
+written.  Every subcommand accepts --json for machine-readable output.
+File writes are atomic, and subcommands refuse to write a code that
+failed verification unless --unchecked is passed.
 """
 
 from __future__ import annotations
@@ -138,10 +139,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             _emit(args, payload, lines + ["no identifying code found"])
             return 1
     else:
+        code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
         if args.prune:
-            code = heuristics.greedy_and_prune(args.r, args.n, seed=args.seed, restarts=args.restarts)
-        else:
-            code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
+            code = heuristics.prune(code, args.r, restarts=args.restarts, seed=args.seed)
         payload = {"method": "greedy", "seed": args.seed, "size": len(code)}
         lines = [f"size {len(code)}"]
     ev = diagnose(code, args.r)
@@ -422,10 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

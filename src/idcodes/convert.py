@@ -20,11 +20,6 @@ from .hypercube import Code
 from .signatures import _evaluate_static
 
 
-def even_words(dim: int) -> np.ndarray:
-    words = np.arange(1 << dim, dtype=np.uint32)
-    return words[(np.bitwise_count(words) & 1) == 0]
-
-
 @dataclass(frozen=True)
 class DiscriminatingReport:
     """Cover-set verdict over the odd vertices.  Witnesses: the smallest

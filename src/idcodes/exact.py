@@ -26,6 +26,7 @@ a table of one byte per image.  canonical=False turns this off.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,9 @@ from .signatures import evaluate
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
 # bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
-# (n! - 1) * 2^n bytes: 10.3 MB at n = 8 and 0.19 GB at n = 9.  Building it
-# at n = 8 peaks near 130 MB above that, in permute_words's uint32 arrays.
+# (n! - 1) * 2^n bytes: 10.3 MB at n = 8 and 0.19 GB at n = 9.  Filled in
+# slices of (n - 1)! permutations, the whole n = 8 searcher peaks about
+# 31 MB above the interpreter's footprint (60 MB RSS), the table included.
 MAX_EXACT_DIM = 8
 # Partial codes are tested for lex-leadership while they have at most this
 # many words besides 0^n.  Timed on the bench's exact cells, depth 3 has
@@ -115,9 +117,12 @@ class _Searcher:
         if canonical:
             others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
             perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
-            # row w: w's image under every permutation but the identity
-            images = permute_words(np.arange(1 << n), perms, n).T
-            self.images = images.astype(np.min_scalar_type((1 << n) - 1), order="C")
+            # row w: w's image under every permutation but the identity,
+            # filled (n-1)! permutations at a time to bound the uint32 temporaries
+            words, step = np.arange(1 << n), math.factorial(n - 1)
+            self.images = np.empty((1 << n, len(perms)), dtype=np.min_scalar_type((1 << n) - 1))
+            for i in range(0, len(perms), step):
+                self.images[:, i:i + step] = permute_words(words, perms[i:i + step], n).T
 
     def _canonical(self, words: tuple[int, ...]) -> bool:
         """True iff no permutation maps the increasing words onto a set with a

@@ -286,11 +286,6 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
     return best
 
 
-def greedy_and_prune(r: int, n: int, seed: int = 0, restarts: int = 16) -> Code:
-    """Convenience pipeline: greedy construction followed by pruning."""
-    return prune(greedy_construct(r, n, seed), r, restarts=restarts, seed=seed)
-
-
 __all__ = [
     "NoisingParams",
     "SearchReport",
@@ -298,5 +293,4 @@ __all__ = [
     "noising_search",
     "greedy_construct",
     "prune",
-    "greedy_and_prune",
 ]

@@ -1,9 +1,11 @@
 """Bit-exact primitives of the binary Hamming space F^n.
 
-Vectors are machine integers tagged with a dimension.  Coordinate 1 (in the
-1-based convention used throughout) is the most significant of the ``dim``
-bits, so a published decimal listing of codewords can be loaded verbatim:
-the length-9 vector written ``110000001`` is simply the integer 385.
+A vertex of F^n is a plain int word in [0, 2^n); the dimension lives with
+the code or the caller, never with the word.  Coordinate 1 (in the 1-based
+convention used throughout) is the most significant of the n bits, so a
+published decimal listing of codewords can be loaded verbatim: the length-9
+vector written ``110000001`` is simply the integer 385.  Distance is
+``(a ^ b).bit_count()``, and a ball is ``ball_offsets(n, r) ^ x``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,64 +27,6 @@ MAX_DIM = 30
 def _check_dim(dim: int) -> None:
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
-
-
-@dataclass(frozen=True, order=True)
-class BitVector:
-    """A vertex of F^n: ``dim`` coordinates packed into an unsigned int."""
-
-    word: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if not 0 <= self.word < (1 << self.dim):
-            raise ValueError(f"word {self.word} out of range for dim {self.dim}")
-
-    @property
-    def weight(self) -> int:
-        return self.word.bit_count()
-
-    def bit(self, pos: int) -> int:
-        """Coordinate at 1-based position pos (1 = most significant)."""
-        if not 1 <= pos <= self.dim:
-            raise ValueError(f"position {pos} out of range for dim {self.dim}")
-        return (self.word >> (self.dim - pos)) & 1
-
-    def complement(self) -> "BitVector":
-        return BitVector(self.word ^ ((1 << self.dim) - 1), self.dim)
-
-    def __str__(self) -> str:
-        return format(self.word, f"0{self.dim}b")
-
-
-def distance(x: BitVector, y: BitVector) -> int:
-    """Hamming distance: the number of coordinates where x and y differ."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} != {y.dim}")
-    return (x.word ^ y.word).bit_count()
-
-
-def parity(x: BitVector) -> int:
-    """Parity-check bit: 0 for even weight, 1 for odd."""
-    return x.word.bit_count() & 1
-
-
-def append_parity(x: BitVector) -> BitVector:
-    """x with its parity bit appended; the result always has even weight."""
-    return BitVector((x.word << 1) | parity(x), x.dim + 1)
-
-
-def delete_coordinate(x: BitVector, pos: int) -> BitVector:
-    """Remove the coordinate at 1-based position pos, keeping the rest in order."""
-    if x.dim < 2:
-        raise ValueError("cannot delete from a 1-dimensional vector")
-    if not 1 <= pos <= x.dim:
-        raise ValueError(f"position {pos} out of range for dim {x.dim}")
-    low_bits = x.dim - pos  # bits strictly below the deleted coordinate
-    high = x.word >> (low_bits + 1)
-    low = x.word & ((1 << low_bits) - 1)
-    return BitVector((high << low_bits) | low, x.dim - 1)
 
 
 def ball_size(n: int, r: int) -> int:
@@ -128,20 +72,6 @@ def odd_mask(dim: int) -> np.ndarray:
     return (np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)) & 1) == 1
 
 
-def ball(x: BitVector, r: int) -> list[BitVector]:
-    """All vectors within distance r of x (x included), weight layer by layer."""
-    if not 0 <= r <= x.dim:
-        raise ValueError(f"radius {r} out of range for dim {x.dim}")
-    return [BitVector(x.word ^ off, x.dim) for off in _offsets(x.dim, 0, r)]
-
-
-def sphere(x: BitVector, r: int) -> list[BitVector]:
-    """All vectors at distance exactly r of x."""
-    if not 0 <= r <= x.dim:
-        raise ValueError(f"radius {r} out of range for dim {x.dim}")
-    return [BitVector(x.word ^ off, x.dim) for off in _offsets(x.dim, r, r)]
-
-
 @dataclass(frozen=True)
 class Code:
     """A nonempty, duplicate-free set of vertices of F^dim, kept sorted."""
@@ -173,10 +103,6 @@ class Code:
         return len(self.words)
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, BitVector):
-            if item.dim != self.dim:
-                return False
-            item = item.word
         i = bisect_left(self.words, item)
         return i < len(self.words) and self.words[i] == item
 
@@ -218,15 +144,3 @@ def permute_words(words, perms, dim: int) -> np.ndarray:
     for i, shift in enumerate(shifts):
         out |= ((words >> shift) & 1) << np.uint32(dim - 1 - i)
     return out
-
-
-def apply_isometry(code: Code, translate: BitVector, perm: Sequence[int]) -> Code:
-    """Permute coordinates of every codeword, then XOR-translate; canonical result.
-
-    perm lists 1-based source positions: output coordinate i is input
-    coordinate perm[i-1].  Both operations preserve all pairwise distances.
-    """
-    if translate.dim != code.dim:
-        raise ValueError("translate dimension does not match code")
-    words = permute_words(code.words, perm, code.dim) ^ np.uint32(translate.word)
-    return Code.from_words(words.tolist(), code.dim)

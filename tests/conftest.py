@@ -25,6 +25,10 @@ row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 ``full_swap_deltas`` stands in for ``SignatureTable.swap_deltas``: it
 removes the codeword for real, runs the full pass, and puts it back.
 
+``parity_extend`` and ``delete_coordinate`` are the parity bridge one int
+word at a time, the reference for ``convert``'s numpy path, and
+``even_words`` lists the even half of F^n.
+
 ``reference_prune`` is the pruning that ``heuristics.prune`` replaced: a
 fresh table per restart, and passes over the whole code repeated until
 one removes nothing.
@@ -122,6 +126,25 @@ def oracle_eval(words, n, r):
 def oracle_identifying(words, n, r):
     nc, ns = oracle_eval(words, n, r)
     return nc + ns == 0
+
+
+def parity_extend(word):
+    """word with its parity bit appended as the new last coordinate."""
+    return (word << 1) | (word.bit_count() & 1)
+
+
+def delete_coordinate(word, pos, dim):
+    """word of F^dim without its coordinate pos (1-based, 1 = most
+    significant), the other coordinates kept in order."""
+    if dim < 2 or not 1 <= pos <= dim:
+        raise ValueError(f"cannot delete coordinate {pos} of F^{dim}")
+    low_bits = dim - pos  # bits strictly below the deleted coordinate
+    return ((word >> (low_bits + 1)) << low_bits) | (word & ((1 << low_bits) - 1))
+
+
+def even_words(dim):
+    """The even-weight words of F^dim, increasing."""
+    return [w for w in range(1 << dim) if w.bit_count() % 2 == 0]
 
 
 def full_add_delta_all(table):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, cli
+from idcodes import Code, cli, codefile
 from idcodes.cli import main
 from idcodes.codefile import (
     CodeFileError,
@@ -15,6 +15,7 @@ from idcodes.codefile import (
     write_code_file,
 )
 from idcodes.exact import min_identifying
+from idcodes.heuristics import greedy_construct, prune
 from idcodes.hypercube import MAX_DIM
 from idcodes.signatures import MAX_EVAL_DIM
 
@@ -215,8 +216,39 @@ class TestCliVerify:
         assert main(["verify", str(path), "--r", "1"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_directory_path_is_usage_error(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path), "--r", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_file_is_usage_error(self, code_74, monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(codefile, "read_code_file", refuse)
+        assert main(["verify", code_74, "--r", "1"]) == 2
+        assert "Permission denied" in capsys.readouterr().err
+
 
 class TestCliConstruct:
+    # greedy's codes at (1, 6) and (2, 7) are already 1-minimal; at (1, 9)
+    # prune removes a word, so a construct that skipped it would show
+    @pytest.mark.parametrize("r,n,seed,restarts", [(1, 6, 0, 4), (2, 7, 5, 4), (1, 9, 1, 4)])
+    def test_greedy_prune_writes_prune_of_greedy(self, r, n, seed, restarts, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        rc = main([
+            "construct", "--method", "greedy", "--r", str(r), "--n", str(n),
+            "--seed", str(seed), "--restarts", str(restarts), "--prune", "--out", str(out),
+        ])
+        assert rc == 0
+        want = prune(greedy_construct(r, n, seed), r, restarts, seed)
+        assert read_code_file(out).code == want
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        rc = main(["construct", "--method", "greedy", "--r", "1", "--n", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_greedy_writes_verified_code(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         rc = main([

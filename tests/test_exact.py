@@ -1,6 +1,7 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from idcodes.exact import (
     min_identifying,
     min_separating,
 )
+from idcodes.hypercube import permute_words
 
 from conftest import ReferenceSearcher, oracle_eval, random_code, reference_canonical
 
@@ -337,6 +339,15 @@ class TestCanonicalPruning:
                 assert verdict == reference_canonical(words, n), words
                 leaders += verdict
         assert leaders > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sliced_table_equals_one_shot_build(self, n):
+        # the table is filled (n-1)! permutations at a time; column j must
+        # still be the j-th permutation but the identity, in itertools order
+        others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
+        perms = np.array(list(others)).reshape(-1, n)
+        want = permute_words(np.arange(1 << n), perms, n).T
+        np.testing.assert_array_equal(_lex_searcher(n).images, want)
 
     def test_n7_table_is_one_byte_per_image(self):
         images = _lex_searcher(7).images

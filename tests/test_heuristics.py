@@ -13,7 +13,6 @@ from idcodes.heuristics import (
     SearchReport,
     _NoisingRun,
     default_params,
-    greedy_and_prune,
     greedy_construct,
     noising_search,
     prune,
@@ -248,12 +247,6 @@ class TestPrune:
         code = greedy_construct(1, 4, seed=0)
         with pytest.raises(ValueError):
             prune(code, 1, restarts=0)
-
-    def test_greedy_and_prune_pipeline(self):
-        code = greedy_and_prune(1, 6, seed=0, restarts=4)
-        assert oracle_identifying(code.words, 6, 1)
-        direct = greedy_construct(1, 6, seed=0)
-        assert len(code) <= len(direct)
 
 
 @st.composite

@@ -6,87 +6,105 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import (
-    BitVector,
-    Code,
-    apply_isometry,
-    ball,
-    ball_size,
-    direct_sum,
-    distance,
-    full_space,
-    is_identifying,
-    sphere,
-)
+from idcodes import Code, ball_size, direct_sum, full_space, is_identifying
+from idcodes.cli import _bin
+from idcodes.convert import to_discriminating, to_identifying
 from idcodes.hypercube import (
     MAX_DIM,
     annulus_offsets,
-    append_parity,
     ball_offsets,
-    delete_coordinate,
-    parity,
+    odd_mask,
     permute_words,
 )
 
-from conftest import oracle_identifying
+from conftest import delete_coordinate, oracle_identifying, parity_extend
+
+
+def ball(x, n, r):
+    """The words within distance r of x."""
+    return set((ball_offsets(n, r) ^ x).tolist())
+
+
+def sphere(x, n, r):
+    """The words at distance exactly r from x."""
+    return set((annulus_offsets(n, r, r) ^ x).tolist())
+
+
+def isometry(code, translate, perm):
+    """Permute the coordinates of every codeword, then XOR-translate."""
+    return Code.from_words((permute_words(code.words, perm, code.dim) ^ translate).tolist(), code.dim)
 
 
 class TestBitVector:
+    """A vertex is a plain int word; these pin the bit conventions that the
+    modules read it by."""
+
     def test_str_is_fixed_width_binary(self):
-        assert str(BitVector(5, 4)) == "0101"
-        assert str(BitVector(0, 3)) == "000"
+        assert _bin(5, 4) == "0101"
+        assert _bin(0, 3) == "000"
 
     def test_coordinate_one_is_most_significant(self):
-        v = BitVector(0b100, 3)
-        assert v.bit(1) == 1
-        assert v.bit(2) == 0
-        assert v.bit(3) == 0
+        # output coordinate 3 takes input coordinate 1, the top bit
+        assert permute_words([0b100], [2, 3, 1], 3).tolist() == [0b001]
+        assert to_identifying(Code.from_words([0b110], 3), 1).words == (0b10,)
+        assert to_identifying(Code.from_words([0b110], 3), 3).words == (0b11,)
 
     def test_weight_and_parity(self):
-        assert BitVector(0b1011, 4).weight == 3
-        assert parity(BitVector(0b1011, 4)) == 1
-        assert parity(BitVector(0b1001, 4)) == 0
+        assert odd_mask(4)[0b1011] and not odd_mask(4)[0b1001]
+        assert to_discriminating(Code.from_words([0b1011], 4)).words == (0b10111,)
+        assert to_discriminating(Code.from_words([0b1001], 4)).words == (0b10010,)
 
     def test_append_parity(self):
-        assert append_parity(BitVector(0b10, 2)) == BitVector(0b101, 3)
-        for w in range(16):
-            v = append_parity(BitVector(w, 4))
-            assert v.dim == 5
-            assert v.weight % 2 == 0
+        assert to_discriminating(Code.from_words([0b10], 2)).words == (0b101,)
+        out = to_discriminating(full_space(4))
+        assert out.dim == 5
+        assert out.words == tuple(parity_extend(w) for w in range(16))
+        assert not odd_mask(5)[list(out.words)].any()
 
     def test_complement(self):
-        assert BitVector(0b101, 3).complement() == BitVector(0b010, 3)
+        # the complement is the one word at distance n
+        assert (annulus_offsets(3, 3, 3) ^ 0b101).tolist() == [0b010]
 
     def test_out_of_range_word_rejected(self):
         with pytest.raises(ValueError):
-            BitVector(8, 3)
+            Code(3, (8,))
         with pytest.raises(ValueError):
-            BitVector(-1, 3)
+            Code(3, (-1,))
+        with pytest.raises(ValueError):
+            Code.from_words([8], 3)
 
     def test_dim_bounds(self):
         with pytest.raises(ValueError):
-            BitVector(0, 0)
+            Code(MAX_DIM + 1, (0,))
         with pytest.raises(ValueError):
-            BitVector(0, MAX_DIM + 1)
+            Code(0, (0,))
+        with pytest.raises(ValueError):
+            full_space(0)
 
     def test_ordering_is_by_word(self):
-        assert BitVector(2, 4) < BitVector(3, 4)
+        # most significant bit first: integer order is the printed order
+        code = Code.from_words([3, 0b1000, 2], 4)
+        assert code.words == (2, 3, 8)
+        printed = [_bin(w, 4) for w in code.words]
+        assert printed == sorted(printed)
 
 
 class TestDistance:
     def test_distance_counts_differing_coordinates(self):
-        assert distance(BitVector(0b1100, 4), BitVector(0b1010, 4)) == 2
-        assert distance(BitVector(0, 4), BitVector(0b1111, 4)) == 4
-
-    def test_distance_requires_same_dim(self):
-        with pytest.raises(ValueError):
-            distance(BitVector(0, 3), BitVector(0, 4))
+        assert 0b1010 in sphere(0b1100, 4, 2)
+        assert 0b1111 in sphere(0, 4, 4)
+        for x, y in itertools.product(range(16), repeat=2):
+            assert y in sphere(x, 4, (x ^ y).bit_count())
 
     def test_triangle_inequality_random(self, rng):
+        # a step of weight <= s then one of weight <= t stays within s + t,
+        # and reaches all of it
         for _ in range(100):
-            n = int(rng.integers(2, 12))
-            a, b, c = (BitVector(int(rng.integers(1 << n)), n) for _ in range(3))
-            assert distance(a, c) <= distance(a, b) + distance(b, c)
+            n = int(rng.integers(2, 9))
+            s, t = (int(rng.integers(n + 1)) for _ in range(2))
+            x = int(rng.integers(1 << n))
+            steps = (ball_offsets(n, s)[:, None] ^ ball_offsets(n, t)[None, :]) ^ x
+            assert set(steps.ravel().tolist()) == ball(x, n, min(n, s + t))
 
 
 class TestBallsAndSpheres:
@@ -95,33 +113,23 @@ class TestBallsAndSpheres:
             for r in range(n + 1):
                 want = sum(math.comb(n, i) for i in range(r + 1))
                 assert ball_size(n, r) == want
+                assert len(ball_offsets(n, r)) == want
 
     def test_ball_contents(self):
-        center = BitVector(0b0110, 4)
-        b1 = {v.word for v in ball(center, 1)}
-        assert b1 == {0b0110, 0b1110, 0b0010, 0b0100, 0b0111}
+        assert ball(0b0110, 4, 1) == {0b0110, 0b1110, 0b0010, 0b0100, 0b0111}
 
     def test_sphere_is_ball_shell(self):
-        center = BitVector(9, 4)
         for r in range(5):
-            shell = {v.word for v in sphere(center, r)}
-            inner = {v.word for v in ball(center, r - 1)} if r else set()
-            outer = {v.word for v in ball(center, r)}
-            assert shell == outer - inner
+            inner = ball(9, 4, r - 1) if r else set()
+            assert sphere(9, 4, r) == ball(9, 4, r) - inner
 
     def test_ball_complement_identity(self):
         # vertices within r of x are exactly those farther than n-r-1
         # from the complement of x
-        n = 6
+        n, x = 6, 0b101001
         for r in range(n):
-            x = BitVector(0b101001, n)
-            b = {v.word for v in ball(x, r)}
-            far = {
-                v
-                for v in range(1 << n)
-                if bin(v ^ x.complement().word).count("1") > n - r - 1
-            }
-            assert b == far
+            far = {v for v in range(1 << n) if (v ^ x ^ 0b111111).bit_count() > n - r - 1}
+            assert ball(x, n, r) == far
 
     def test_offsets_cached_and_readonly(self):
         a = ball_offsets(5, 2)
@@ -139,24 +147,32 @@ class TestBallsAndSpheres:
 
     def test_radius_range_errors(self):
         with pytest.raises(ValueError):
-            ball(BitVector(0, 4), 5)
+            ball_offsets(4, 5)
         with pytest.raises(ValueError):
-            sphere(BitVector(0, 4), -1)
+            ball_offsets(4, -1)
+        with pytest.raises(ValueError):
+            annulus_offsets(4, 5, 5)
 
 
 class TestDeleteCoordinate:
     def test_delete_each_position(self):
-        v = BitVector(0b10110, 5)
-        assert delete_coordinate(v, 1).word == 0b0110
-        assert delete_coordinate(v, 2).word == 0b1110
-        assert delete_coordinate(v, 3).word == 0b1010
-        assert delete_coordinate(v, 5).word == 0b1011
+        v = 0b10110
+        assert delete_coordinate(v, 1, 5) == 0b0110
+        assert delete_coordinate(v, 2, 5) == 0b1110
+        assert delete_coordinate(v, 3, 5) == 0b1010
+        assert delete_coordinate(v, 5, 5) == 0b1011
+        # convert's numpy path deletes the same way (it takes even words)
+        even = 0b101101
+        for pos in range(1, 7):
+            got = to_identifying(Code.from_words([even], 6), pos).words
+            assert got == (delete_coordinate(even, pos, 6),)
 
     def test_delete_bad_position(self):
-        with pytest.raises(ValueError):
-            delete_coordinate(BitVector(0, 3), 0)
-        with pytest.raises(ValueError):
-            delete_coordinate(BitVector(0, 3), 4)
+        for pos in (0, 4):
+            with pytest.raises(ValueError):
+                delete_coordinate(0, pos, 3)
+            with pytest.raises(ValueError):
+                to_identifying(Code.from_words([0], 3), pos)
 
 
 class TestCode:
@@ -165,7 +181,6 @@ class TestCode:
         assert c.words == (1, 3, 5)
         assert len(c) == 3
         assert 3 in c and 2 not in c
-        assert BitVector(3, 3) in c and BitVector(3, 4) not in c
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -204,14 +219,12 @@ class TestCode:
 class TestIsometry:
     def test_identity(self):
         c = Code.from_words([1, 4, 6], 3)
-        same = apply_isometry(c, BitVector(0, 3), [1, 2, 3])
-        assert same.words == c.words
+        assert isometry(c, 0, [1, 2, 3]).words == c.words
 
     def test_translation_preserves_distances(self, rng):
         n = 5
         c = Code.from_words(sorted(rng.choice(32, 6, replace=False).tolist()), n)
-        t = BitVector(int(rng.integers(32)), n)
-        moved = apply_isometry(c, t, list(range(1, n + 1)))
+        moved = isometry(c, int(rng.integers(32)), list(range(1, n + 1)))
         before = sorted(bin(a ^ b).count("1") for a in c for b in c)
         after = sorted(bin(a ^ b).count("1") for a in moved for b in moved)
         assert before == after
@@ -222,16 +235,14 @@ class TestIsometry:
         assert oracle_identifying(base.words, n, r) == is_identifying(base, r)
         for _ in range(10):
             perm = [int(p) for p in rng.permutation(n) + 1]
-            t = BitVector(int(rng.integers(1 << n)), n)
-            moved = apply_isometry(base, t, perm)
+            moved = isometry(base, int(rng.integers(1 << n)), perm)
             assert is_identifying(moved, r) == is_identifying(base, r)
 
     def test_bad_perm_rejected(self):
-        c = Code.from_words([0, 1], 3)
         with pytest.raises(ValueError):
-            apply_isometry(c, BitVector(0, 3), [1, 1, 2])
+            permute_words([0, 1], [1, 1, 2], 3)
         with pytest.raises(ValueError):
-            apply_isometry(c, BitVector(0, 3), [1, 2])
+            permute_words([0, 1], [1, 2], 3)
 
 
 def reference_permute(word, perm, dim):
@@ -249,7 +260,7 @@ def isometries(draw):
     words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(1 << n, 24)))
     perm = draw(st.permutations(range(1, n + 1)))
     translate = draw(st.integers(0, (1 << n) - 1))
-    return Code.from_words(words, n), list(perm), BitVector(translate, n)
+    return Code.from_words(words, n), list(perm), translate
 
 
 class TestPermuteWords:
@@ -274,7 +285,7 @@ class TestPermuteWords:
     @given(isometries())
     def test_isometry_preserves_distances_and_identifying(self, iso):
         code, perm, translate = iso
-        moved = apply_isometry(code, translate, perm)
+        moved = isometry(code, translate, perm)
         assert len(moved) == len(code)
         before = sorted((a ^ b).bit_count() for a in code for b in code)
         after = sorted((a ^ b).bit_count() for a in moved for b in moved)
