@@ -28,6 +28,8 @@ import numpy as np
 from .hypercube import Code
 from .signatures import SignatureTable, evaluate
 
+_NEVER = np.iinfo(np.int64).max  # the score of a word never chosen, noise or not
+
 
 @dataclass(frozen=True)
 class NoisingParams:
@@ -107,6 +109,8 @@ class _NoisingRun:
             raise ValueError("need 1 <= r < n")
         if params.target_size > (1 << n):
             raise ValueError("target_size exceeds the space size")
+        if stop_size is not None and stop_size < 1:
+            raise ValueError("stop_size must be >= 1")
         self.r = r
         self.n = n
         self.params = params
@@ -155,17 +159,13 @@ class _NoisingRun:
         table = self.table
         word = self.order[i]
         totals = table.swap_deltas(word)
-        allowed = ~table.word_mask
-
-        big = np.iinfo(np.int64).max
-        masked = np.where(allowed, totals, big)
-        s0 = int(np.argmin(masked))
+        np.putmask(totals, table.word_mask, _NEVER)  # a fresh vector: mask the codewords in place
+        s0 = int(np.argmin(totals))
         self.iterations += 1
-        if masked[s0] >= 0:
+        if totals[s0] >= 0:
             if rho <= 0.0:
                 return  # zero noise and no improving swap: nothing can be accepted
-            noise = totals + rho * self._ln_uniform(1 << self.n)
-            noisy = np.where(allowed, noise, np.inf)
+            noisy = totals + rho * self._ln_uniform(1 << self.n)
             s0 = int(np.argmin(noisy))
             if noisy[s0] >= 0.0:
                 return  # rejected: the table was never touched
@@ -217,8 +217,8 @@ def noising_search(
 
     When the noise schedule is exhausted before the iteration budget, it
     restarts from rho_init, so the budget is always fully usable.  Pass
-    ``stop_size`` to return as soon as an identifying code that small (or
-    smaller) is found.  Deterministic given the seed.
+    ``stop_size`` (>= 1) to return as soon as an identifying code that
+    small (or smaller) is found.  Deterministic given the seed.
     """
     return _NoisingRun(r, n, params, stop_size).run()
 
@@ -237,7 +237,8 @@ def greedy_construct(r: int, n: int, seed: int = 0) -> Code:
     rng = np.random.Generator(np.random.PCG64(seed))
     table = SignatureTable(n, r)
     while table.f > 0:
-        deltas = np.where(table.word_mask, np.iinfo(np.int64).max, table.add_delta_all())
+        deltas = table.add_delta_all()
+        np.putmask(deltas, table.word_mask, _NEVER)
         dmin = int(deltas.min())
         if dmin >= 0:
             raise AssertionError("no improving addition despite f > 0")

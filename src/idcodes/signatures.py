@@ -14,29 +14,30 @@ apart), so f = 0 still characterizes the property exactly.
 Two evaluation paths are provided and cross-checked in the test suite:
 
 * ``SignatureTable`` — a mutable table updated ball by ball under codeword
-  addition and removal, with one exact intern per distinct class.
-  Once asked for a score it keeps three per-word vectors that give the
-  f-change of every addition (``add_delta_all``) or swap of one codeword
-  (``swap_deltas``, which mutates nothing), at O(2^n) per move.  This is
-  what the local-search constructions iterate on.
+  addition and removal.  Once asked for a score it keeps two per-word
+  vectors that give the f-change of every addition (``add_delta_all``) or
+  swap of one codeword (``swap_deltas``, which mutates nothing), at O(2^n)
+  per move.  This is what the local-search constructions iterate on.
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
   one-shot verification up to dimension MAX_EVAL_DIM.
 
-Cover-set classes are exact on both paths.  The table interns frozensets
-of codewords (hash = fingerprint, equality = exact comparison).  The
-static path walks the ball offsets: each column codewords ^ offset is
-duplicate-free, so it scatters straight into a covered flag and a 64-bit
-XOR fingerprint per vertex.  One sort of the covered fingerprints finds
-the vertices that might share a cover set; a second pass over the
-offsets gives only those their exact cover sets, as sorted rows of
-codeword indices, and the rows decide every count.
+Both fingerprint a cover set as the XOR of a random odd 64-bit mark per
+codeword, with marks from independent seeds.  The table keys its classes
+by fingerprint, so a collision can merge two (see ``SignatureTable``);
+its f then reads high, never low.  The static path is exact: it walks the
+ball offsets, and each column codewords ^ offset is duplicate-free, so it
+scatters straight into a covered flag and a fingerprint per vertex.  One
+sort of the covered fingerprints finds the vertices that might share a
+cover set; a second pass over the offsets gives only those their exact
+cover sets, as sorted rows of codeword indices, and the rows decide every
+count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from functools import cache
 
 import numpy as np
 
@@ -55,6 +56,7 @@ MAX_EVAL_DIM = 24
 _EMPTY_ID = 0
 _NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
+_TABLE_FP_SEED = 0x7AB1E5  # the table's marks, apart from the static path's
 
 
 @dataclass(frozen=True)
@@ -77,36 +79,41 @@ def _pairs(k: int) -> int:
 class SignatureTable:
     """Mutable cover-set table for one (code, radius) pair.
 
-    Cover sets are frozensets of codewords, interned to integer class
-    ids.  Membership is ``word_mask`` and ``size``.
-
-    Single-owner semantics: mutate from one thread at a time.
+    Each vertex holds a dense class id, each id the size and fingerprint of
+    its cover set, and a dict maps each live fingerprint to its id (empty
+    cover set: id 0, fingerprint 0).  Moving the classes K of B(w) to
+    K ^ {w} XORs their fingerprints with mark(w) and looks each up, on
+    additions as on removals, so a collision merges classes (or counts
+    covered vertices as uncovered) but never splits one: f reads at least
+    the true f.  A move makes at most V keys, each meeting one of at most
+    2^n live fingerprints with probability 2^-63 (the marks are odd), so it
+    collides with probability about V 2^n / 2^63 at most.  ``check``
+    recounts exactly.  Membership is ``word_mask`` and ``size``.  Mutate
+    from one thread at a time.
     """
 
     def __init__(self, dim: int, radius: int) -> None:
         if not 1 <= dim <= MAX_TABLE_DIM:
             raise ValueError(f"table dim must be in [1, {MAX_TABLE_DIM}]")
-        self.dim = dim
-        self.radius = radius
+        self.dim, self.radius = dim, radius
         n_verts = 1 << dim
         self._offsets = ball_offsets(dim, radius)
+        self._mark = _table_marks(dim)
         self._key_id = np.zeros(n_verts, dtype=np.int64)
-        # class id -> key (frozenset of codewords); id 0 = empty key, never freed
-        self._keys: dict[int, frozenset[int]] = {0: frozenset()}
-        self._ids: dict[frozenset[int], int] = {frozenset(): 0}
-        self._count = np.zeros(8, dtype=np.int64)
+        ids = n_verts + 2 + len(self._offsets)  # 2^n live classes at most, V more mid-move
+        self._count = np.zeros(ids, dtype=np.int64)
         self._count[_EMPTY_ID] = n_verts
-        self._free_ids: list[int] = []
-        self._next_id = 2
+        self._fp = np.zeros(ids, dtype=np.uint64)
+        self._ids = {0: _EMPTY_ID}  # fingerprint -> class id; id 0 is never freed
+        self._free, self._top = np.arange(ids - 1, 1, -1), ids - 2  # a stack of the unused ids
         self.size = 0
         self.ns = _pairs(n_verts)
         self._word_mask = np.zeros(n_verts, dtype=bool)
         self.word_mask = self._word_mask.view()  # read-only, True at the codewords
         self.word_mask.flags.writeable = False
-        self._delta = None  # (T0, Cn, Q) per candidate word, from the first score on
-        self._after = {}  # {word: (T0, Cn, Q) without it} from swap_deltas, until a mutation
-
-    # -- construction ------------------------------------------------------
+        self._delta = None  # (T0, P) per candidate word, from the first score on
+        self._scores = None  # (add_delta_all, 2 T0 - nc - 1), until a mutation
+        self._removing = None  # the last _removal, until a mutation
 
     @classmethod
     def build(cls, code: Code, radius: int) -> "SignatureTable":
@@ -114,8 +121,6 @@ class SignatureTable:
         for word in code.words:
             table.add(word)
         return table
-
-    # -- read-only views ---------------------------------------------------
 
     @property
     def nc(self) -> int:
@@ -131,49 +136,41 @@ class SignatureTable:
     def code(self) -> Code:
         return Code.from_words(self.words(), self.dim)
 
-    # -- interning ---------------------------------------------------------
-
-    def _intern(self, key: frozenset[int]) -> int:
-        cid = self._ids.get(key)
-        if cid is not None:
-            return cid
-        if self._free_ids:
-            cid = self._free_ids.pop()
-        else:
-            cid = self._next_id
-            self._next_id += 1
-            if cid >= len(self._count):
-                grown = np.zeros(2 * len(self._count), dtype=np.int64)
-                grown[: len(self._count)] = self._count
-                self._count = grown
-        self._ids[key] = cid
-        self._keys[cid] = key
-        self._count[cid] = 0
-        return cid
-
-    def _move_ball(self, word: int, sign: int):
-        """Move B(word) from each class K to K | {word} (sign +1) or K - {word} (-1)."""
-        self._after = {}
-        ball = self._offsets ^ np.uint32(word)
+    def _group(self, word: int):
+        """B(word), each vertex's index into its distinct class ids `old`,
+        their counts in it, and each K ^ {word}: fingerprint and id (_NO_ID
+        where it is no class yet)."""
+        ball = self._offsets ^ word
         group: dict[int, int] = {}
-        inv = np.array([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()])
+        inv = np.fromiter([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()],
+                          dtype=np.int64, count=len(ball))
         old = np.fromiter(group, dtype=np.int64, count=len(group))
-        moved = np.bincount(inv)
-        keys = [self._keys[cid] | {word} if sign > 0 else self._keys[cid] - {word} for cid in group]
+        fps = self._fp[old] ^ self._mark[word]
+        new = np.fromiter([self._ids.get(fp, _NO_ID) for fp in fps.tolist()], dtype=np.int64, count=len(old))
+        return ball, inv, old, np.bincount(inv), fps, new
+
+    def _move_ball(self, grouped) -> np.ndarray:
+        """Move each class K of B(word) to K ^ {word}, given _group(word);
+        return each K's count left outside the ball.  Emptied classes are
+        freed: a collision can make one a target, and no target is empty."""
+        self._scores = self._removing = None
+        ball, inv, old, moved, fps, new = grouped
         self._count[old] -= moved
         left = self._count[old]
-        for cid, c in zip(group, left.tolist()):
-            if c == 0 and cid != _EMPTY_ID:
-                del self._ids[self._keys.pop(cid)]
-                self._free_ids.append(cid)
-        new = np.fromiter(map(self._intern, keys), dtype=np.int64, count=len(keys))
-        joined = self._count[new]
-        self.ns += int(moved @ (joined - left))
+        missing = np.flatnonzero(new == _NO_ID)
+        self._top -= len(missing)
+        new[missing] = cids = self._free[self._top:self._top + len(missing)]
+        self._fp[cids] = fps[missing]
+        self._ids.update(zip(fps[missing].tolist(), cids.tolist()))
+        self.ns += int(moved @ (self._count[new] - left))
         self._count[new] += moved
         self._key_id[ball] = new[inv]
-        return ball, inv, old, moved, left
-
-    # -- mutations ---------------------------------------------------------
+        dead = old[(self._count[old] == 0) & (old != _EMPTY_ID)]
+        for fp in self._fp[dead].tolist():
+            del self._ids[fp]
+        self._free[self._top:self._top + len(dead)] = dead
+        self._top += len(dead)
+        return left
 
     def _require(self, word: int, codeword: bool) -> None:
         if not 0 <= word < (1 << self.dim):
@@ -186,20 +183,22 @@ class SignatureTable:
         self._require(word, False)
         self._word_mask[word] = True
         self.size += 1
-        ball, inv, old, moved, left = self._move_ball(word, 1)
+        ball, inv, old, moved, _, _ = grouped = self._group(word)
+        left = self._move_ball(grouped)
         if self._delta is not None:  # the old classes are those of the table without `word`
-            self._delta = tuple(map(np.add, self._delta, self._terms(ball, inv, old, moved, left)))
+            (t, lin), (t0, p) = self._terms(ball, inv, old, moved, left), self._delta
+            fresh = int(moved[old == _EMPTY_ID].sum())
+            self._delta = (t0 - t, p + t * (t - 1 - fresh) - lin)
 
     def remove(self, word: int) -> None:
         """Remove a codeword."""
-        self._require(word, True)
-        if self._delta is not None:  # as swap_deltas(word) left them, or afresh
-            self._delta = self._after.get(word) or self._without(word)[2]
-        self._move_ball(word, -1)
+        _, _, gone, grouped, _, terms = self._removal(word, self._delta is not None)
+        if terms is not None:  # as swap_deltas(word) left them, or afresh
+            (t, lin), (t0, p) = terms, self._delta
+            self._delta = (t0 + t, p + lin - t * (t - 1 - gone))
+        self._move_ball(grouped)
         self._word_mask[word] = False
         self.size -= 1
-
-    # -- deltas (no mutation) ----------------------------------------------
 
     def add_delta_all(self) -> np.ndarray:
         """f-delta of adding each word of F^n as a fresh codeword.
@@ -207,134 +206,140 @@ class SignatureTable:
         Entries at current codewords are meaningless; mask them out.  A new
         codeword s splits each class K into its t_K vertices in B(s) and
         the rest, so delta = -sum_K t_K (|K| - t_K) - t_empty
-        = V + 2 Q - Cn + T0 (T0 - nc - 2), where over B(s) T0 counts the
-        uncovered vertices, Cn sums the class sizes of the covered ones and
-        Q counts the pairs sharing a nonempty class.  The first call builds
-        T0, Cn and Q; add and remove then keep them current at O(2^n)
-        per move, so each call is one vector expression.
+        = V + P + T0 (T0 - nc - 2), where over B(s) T0 counts the uncovered
+        vertices and P = 2 Q - Cn, Cn summing the covered ones' class sizes
+        and Q counting the pairs sharing a nonempty class.  add and remove
+        keep T0 and P current at O(2^n) per move; the vector is formed once
+        per mutation.
         """
-        if self._delta is None:
-            self._start_tracking()
-        return self._add_deltas(*self._delta, self.nc)
+        return self._score_vectors()[0].copy()
 
     def swap_deltas(self, word: int) -> np.ndarray:
         """f(C - m + s) - f(C) for each word s, m the codeword `word`.
 
-        The table is not touched: remove_delta plus the add_delta_all
-        formula over T0, Cn, Q and nc as they would be without m, which
-        are computed out of place.  Entries at current codewords, m
-        included, are meaningless; mask them out.  A remove(word) before
-        any other mutation takes over those vectors.
+        Without touching the table: removing m makes T0 + t and
+        P + lin - t (t - 1 - L) (see _terms), so by the add_delta_all
+        formula the score is A + remove_delta(m) - L T0 + t (2 T0 - nc - 1)
+        + lin, with A = add_delta_all() and 2 T0 - nc - 1 kept until the
+        next mutation.  Entries at codewords, m included, are meaningless;
+        mask them out.  A remove(word) before any other mutation applies
+        this grouping and scatter as they are.
         """
-        if self._delta is None:
-            self._start_tracking()
-        d_remove, nc, after = self._without(word)
-        self._after = {word: after}
-        return d_remove + self._add_deltas(*after, nc)
-
-    def _add_deltas(self, t0, cn, q, nc: int) -> np.ndarray:
-        return len(self._offsets) + 2 * q - cn + t0 * (t0 - nc - 2)
-
-    def _spread(self, verts: np.ndarray, weights=1) -> np.ndarray:
-        """out[s] = sum of weights[i] (default 1) over the verts[i] in B(s)."""
-        out = np.zeros(1 << self.dim, dtype=np.int64)
-        np.add.at(out, verts[:, None] ^ self._offsets, np.asarray(weights)[..., None])
+        a, b = self._score_vectors()
+        _, d_remove, gone, _, _, (t, lin) = self._removal(word, True)
+        out = a + t * b
+        out += lin + d_remove
+        if gone:
+            out -= gone * self._delta[0]
         return out
 
+    def _score_vectors(self):
+        if self._delta is None:
+            self._start_tracking()
+        if self._scores is None:
+            (t0, p), nc = self._delta, self.nc
+            self._scores = (len(self._offsets) + p + t0 * (t0 - nc - 2), 2 * t0 - (nc + 1))
+        return self._scores
+
     def _start_tracking(self) -> None:
-        # T0, Cn and Q depend only on the classes, so adding the codewords to
-        # an empty table, where T0 = V and Cn = Q = 0, rebuilds them
+        # T0 and P depend only on the classes, so adding the codewords to an
+        # empty table, where T0 = V and P = 0, rebuilds them
         replay = SignatureTable(self.dim, self.radius)
-        zero = np.zeros(1 << self.dim, dtype=np.int64)
-        replay._delta = (zero + len(self._offsets), zero.copy(), zero)
+        replay._delta = (np.full(1 << self.dim, len(self._offsets)), np.zeros(1 << self.dim, dtype=np.int64))
         for word in self.words():
             replay.add(word)
         self._delta = replay._delta
 
     def _terms(self, ball, inv, base, k1, k2):
-        """What one codeword adds to (T0, Cn, Q); a removal subtracts it.
+        """(t, lin) of one codeword over each B(s): adding it changes T0 by
+        -t and P by t (t - 1 - L) - lin; removing it undoes that.
 
-        ball[i] is in class base[inv[i]] of the table without the codeword;
-        class j has k1[j] members in the ball and k2[j] outside it, and no
-        vertex outside the ball holds base[j] unless k2[j] > 0.  The
-        codeword splits each nonempty class into those two parts and gives
-        the uncovered vertices of its ball a class of their own.
+        ball[i] is in class base[inv[i]] of the table without the codeword,
+        class j has k1[j] members in the ball and k2[j] outside it, and the
+        codeword splits each nonempty class into those parts.  t counts the
+        L uncovered vertices of the ball in B(s); lin = 2 cross - shrunk,
+        shrunk summing the part each covered vertex in B(s) loses and cross
+        counting the pairs in B(s) across the ball's boundary that did share
+        a class.  One scatter of the rows gives t and -shrunk, and the cross
+        pairs add theirs.
         """
+        n_verts = 1 << self.dim
         covered = base != _EMPTY_ID
-        in_covered = covered[inv]
-        fresh = ball[~in_covered]
-        inside, ji = ball[in_covered], inv[in_covered]
         group = np.zeros(len(self._count), dtype=np.int64)
-        group[base] = np.arange(1, len(base) + 1) * covered
-        member = group[self._key_id]
-        member[ball] = 0
+        group[base] = np.arange(1, len(base) + 1)
+        group[_EMPTY_ID] = 0
+        member = group[self._key_id]  # 0 on the ball unless fingerprints collide
         outside = member.nonzero()[0]
         jo = member[outside] - 1
-        # inside vertices lose the outside part of their class and vice
-        # versa; the fresh ones gain each other
-        t = self._spread(fresh)
-        shrunk = self._spread(np.concatenate((inside, outside)), np.concatenate((k2[ji], k1[jo])))
-        # pairs across the ball's boundary stop sharing a class, pairs of
-        # formerly uncovered vertices start sharing one
-        ia, ib = (ji[:, None] == jo).nonzero()
-        s = inside[ia, None] ^ self._offsets
-        cross = np.bincount(s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], minlength=len(t))
-        return -t, len(fresh) * t - shrunk, t * (t - 1) // 2 - cross
+        # the rows of the uncovered vertices land in the second half, t
+        rows = np.concatenate((ball ^ np.where(covered, 0, n_verts)[inv], outside))
+        weight = np.concatenate((np.where(covered, -k2, 1)[inv], -k1[jo]))
+        out = np.zeros(2 * n_verts, dtype=np.int64)
+        np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), np.repeat(weight, len(self._offsets)))
+        if len(outside):
+            ia, ib = (inv[:, None] == jo).nonzero()  # jo holds no uncovered class
+            s = ball[ia, None] ^ self._offsets
+            np.add.at(out, s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], 2)
+        return out[n_verts:], out[:n_verts]
 
-    def _removal(self, word: int):
-        """remove_delta(word) and the vertices it uncovers; then B(word), the
-        class ids of its vertices, and per class K among them |K| and the id
-        and size of K - {word}.
+    def _removal(self, word: int, terms: bool = False):
+        """[word, remove_delta(word), L, _group(word), the size of each
+        K - {word}, their _terms once asked for], kept until a mutation.
 
-        Every vertex whose cover set holds `word` lies in B(word), so K sits
-        inside the ball and merges with K - {word} outside it: |K| times
-        |K - {word}| new pairs, and |K| uncovered vertices if K - {word} is
-        empty.  A K - {word} that is no class yet gets the id _NO_ID and
-        size 0.  Plain Python values: prune asks for thousands of balls.
+        Each class K of B(word) lies inside the ball and merges with
+        K - {word} (size 0 if no class yet) outside it: |K| |K - {word}| new
+        pairs, and L = |K| uncovered vertices if K - {word} is empty.
         """
         self._require(word, True)
-        ball = self._offsets ^ np.uint32(word)
-        ids = self._key_id[ball].tolist()
-        moved = Counter(ids)
-        keys, get, drop = self._keys, self._ids.get, {word}
-        target = [get(keys[cid] - drop, _NO_ID) for cid in moved]
-        size, k = self._count[target].tolist(), list(moved.values())
-        gone = k[target.index(_EMPTY_ID)] if _EMPTY_ID in target else 0
-        return sum(map(mul, k, size)) + gone, gone, ball, ids, moved, target, size
-
-    def _without(self, word: int):
-        """remove_delta(word), and nc and (T0, Cn, Q) after that removal."""
-        delta, gone, ball, ids, moved, target, size = self._removal(word)
-        index = {cid: j for j, cid in enumerate(moved)}
-        k1, base, k2 = (np.array(v) for v in (list(moved.values()), target, size))
-        terms = self._terms(ball, np.array([index[cid] for cid in ids]), base, k1, k2)
-        return delta, self.nc + gone, tuple(map(np.subtract, self._delta, terms))
+        if self._removing is None or self._removing[0] != word:
+            _, _, _, moved, _, new = grouped = self._group(word)
+            size = self._count[new]
+            gone = int(moved @ (new == _EMPTY_ID))
+            self._removing = [word, int(moved @ size) + gone, gone, grouped, size, None]
+        removing = self._removing
+        if terms and removing[5] is None:
+            ball, inv, _, moved, _, new = removing[3]
+            removing[5] = self._terms(ball, inv, new, moved, removing[4])
+        return removing
 
     def remove_delta(self, word: int) -> int:
-        """f(C - word) - f(C) for a codeword: each class in its ball merges
-        with the class of its key minus `word` (see _removal)."""
-        return self._removal(word)[0]
-
-    # -- integrity ---------------------------------------------------------
+        """f(C - word) - f(C) for a codeword (see _removal)."""
+        return self._removal(word)[1]
 
     def check(self) -> None:
-        """Assert internal consistency against a from-scratch recount."""
-        n_verts = 1 << self.dim
-        live = [int(self._count[cid]) for cid in self._keys]
-        assert sum(live) == n_verts, "class counts must cover all vertices"
-        counted = Counter(self._key_id.tolist())
-        for cid, c in counted.items():
-            assert int(self._count[cid]) == c, f"stale count for class {cid}"
-        assert self.ns == sum(_pairs(c) for c in counted.values())
+        """Assert the classes, counts, fingerprints and ns against an exact
+        recount of every cover set from the codewords."""
         assert self.size == np.count_nonzero(self._word_mask), "stale size"
-        covering = frozenset().union(*(self._keys[cid] for cid in counted))
-        assert covering == set(self.words()), "cover sets disagree with the codeword mask"
+        cover = [set() for _ in range(1 << self.dim)]
+        for w in self.words():
+            for v in (self._offsets ^ w).tolist():
+                cover[v].add(w)
+        classes: dict[int, frozenset[int]] = {}  # class id -> its one exact cover set
+        for v, cid in enumerate(self._key_id.tolist()):
+            assert classes.setdefault(cid, frozenset(cover[v])) == cover[v], f"class {cid} mixes cover sets"
+        assert len(set(classes.values())) == len(classes), "a cover set is split over classes"
+        counted = Counter(self._key_id.tolist())
+        for cid, key in classes.items():
+            fp = np.bitwise_xor.reduce(self._mark[sorted(key)])  # 0 for the empty set, as for id 0
+            assert self._count[cid] == counted[cid] and self._fp[cid] == fp, f"stale class {cid}"
+        live = {(int(self._fp[cid]), cid) for cid in classes} | {(0, _EMPTY_ID)}
+        assert set(self._ids.items()) == live, "the fingerprint map disagrees with the classes"
+        assert not set(self._free[: self._top].tolist()) & set(self._ids.values()), "a live id is free"
+        assert self.ns == sum(_pairs(c) for c in counted.values())
 
 
 def _marks(k: int) -> np.ndarray:
     """k random odd 64-bit fingerprint marks, one per codeword."""
     rng = np.random.Generator(np.random.PCG64(_FP_SEED))
     return rng.integers(0, 2**63, size=k, dtype=np.uint64) | np.uint64(1)
+
+
+@cache
+def _table_marks(dim: int) -> np.ndarray:
+    """SignatureTable's random odd 64-bit mark of each word of F^dim."""
+    marks = np.random.PCG64(_TABLE_FP_SEED).random_raw(1 << dim) | np.uint64(1)
+    marks.flags.writeable = False
+    return marks
 
 
 def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,

@@ -24,6 +24,9 @@ re-scores every candidate from scratch (gather each ball's class ids and
 row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 ``full_swap_deltas`` stands in for ``SignatureTable.swap_deltas``: it
 removes the codeword for real, runs the full pass, and puts it back.
+``cover_set`` and ``class_counts`` read a table's classes through the
+brute-force cover sets of their vertices, and ``collide_table_marks``
+forces fingerprint collisions on the table.
 
 ``parity_extend`` and ``delete_coordinate`` are the parity bridge one int
 word at a time, the reference for ``convert``'s numpy path, and
@@ -56,7 +59,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from idcodes import Code
+from idcodes import Code, signatures
 from idcodes.codefile import CodeFile, CodeFileError
 from idcodes.exact import _CANONICAL_DEPTH, BudgetExhausted, _Searcher
 from idcodes.signatures import SignatureTable, evaluate
@@ -315,19 +318,46 @@ def scalar_add_delta(table, word):
     return delta
 
 
+def _class_keys(table):
+    """class id -> the one brute-force cover set of all its vertices."""
+    cover = brute_cover_sets(table.words(), table.dim, table.radius)
+    keys = {}
+    for v, cid in enumerate(table._key_id.tolist()):
+        assert keys.setdefault(cid, cover[v]) == cover[v], f"class {cid} mixes cover sets"
+    return keys
+
+
 def cover_set(table, vertex):
-    """The codewords within the radius of this vertex."""
-    return table._keys[int(table._key_id[vertex])]
+    """The codewords within the radius of this vertex, read as the cover
+    set shared by every vertex of its class."""
+    return _class_keys(table)[int(table._key_id[vertex])]
 
 
 def class_counts(table):
-    """Each distinct cover set held by some vertex, with its vertex count."""
+    """Each distinct cover set held by some vertex, with the vertex count
+    of its class."""
     out = {}
-    for key, cid in table._ids.items():
-        c = int(table._count[cid])
-        if c > 0:
-            out[key] = c
+    for cid, key in _class_keys(table).items():
+        assert key not in out, "a cover set is split over classes"
+        out[key] = int(table._count[cid])
     return out
+
+
+def collide_table_marks(monkeypatch, flat=False):
+    """Patch SignatureTable's word marks so that distinct cover sets share
+    fingerprints.  By default mark(15) = mark(0) ^ mark(3) ^ mark(12), so
+    {0, 3} and {12, 15}, among others, collide; with ``flat`` every mark is
+    one and a fingerprint is only the parity of the cover count."""
+    table_marks = signatures._table_marks
+
+    def marks(dim):
+        if flat:
+            return np.ones(1 << dim, dtype=np.uint64)
+        out = table_marks(dim).copy()
+        out[15] = out[0] ^ out[3] ^ out[12]
+        return out
+
+    monkeypatch.setattr(signatures, "_table_marks", marks)
 
 
 _REFERENCE_HEADER = re.compile(r"^n=(\d+)\s+r=(\d+)$")

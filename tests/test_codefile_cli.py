@@ -300,6 +300,14 @@ class TestCliConstruct:
         assert rc == 2
         assert "rho_init must be finite" in capsys.readouterr().err
 
+    def test_noising_negative_stop_size_is_an_error(self, capsys):
+        rc = main([
+            "construct", "--method", "noising", "--r", "1", "--n", "5",
+            "--size", "10", "--stop-size", "-3", "--max-iterations", "300",
+        ])
+        assert rc == 2
+        assert "error: stop_size must be >= 1" in capsys.readouterr().err
+
     def test_noising_failure_exit(self, capsys):
         rc = main([
             "construct", "--method", "noising", "--r", "1", "--n", "3",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, evaluate
+from idcodes import Code, evaluate, full_space
 from idcodes.codefile import parse_code_text
 from idcodes.heuristics import (
     NoisingParams,
@@ -22,6 +22,7 @@ from idcodes.signatures import SignatureTable
 
 from conftest import (
     brute_eval,
+    collide_table_marks,
     full_add_delta_all,
     full_swap_deltas,
     oracle_identifying,
@@ -123,6 +124,11 @@ class TestNoisingSearch:
         assert early.best_code is not None
         assert len(early.best_code) >= len(full.best_code)
         assert early.iterations_used <= full.iterations_used
+
+    @pytest.mark.parametrize("stop_size", [0, -3])
+    def test_stop_size_below_one_is_refused(self, stop_size):
+        with pytest.raises(ValueError, match="stop_size must be >= 1"):
+            noising_search(1, 5, params(12, iters=100), stop_size=stop_size)
 
     def test_budget_exhaustion_without_success(self):
         # two words can never 1-identify F^3; the search must hand back a
@@ -365,6 +371,24 @@ class TestPruneSameSeed:
     # The shipped 114-word (1, 9) code pruned at r = 2, seed 0: 44 words.
     SHIPPED_R2 = "f041f1e93100d59e3335a86856ca85b097fe06d6b1cc5a2488b824c53bd6adf8"
 
+    # prune(full_space(n), r, 16, seed): (size, size with one restart, digest).
+    # Unlike greedy codes, the whole space is where the restarts pay.
+    FULL_SPACE = {
+        (6, 1, 0): (20, 23, "a4fdc8d627a0e45acbc98441ed325387685e138f969337f358f089849028379e"),
+        (6, 1, 1): (21, 22, "bef3d33c838126c1d2f45186475625604eaa841eb92199a4ff7d15d048f7afdd"),
+        (7, 2, 0): (16, 20, "ae5d429f07d9f1060d1ffe479ef08498b93b8ae8a3644b2d5e02905d7addfb09"),
+        (7, 2, 1): (17, 18, "288e89c8abc9f85b2f88938280ec0167ca5b7e2f4302408b7d0a1ecb9ce4abbc"),
+    }
+
+    @pytest.mark.parametrize("n,r,seed", sorted(FULL_SPACE))
+    def test_restarts_on_the_full_space_match_golden_digests(self, n, r, seed):
+        size, size_one, digest = self.FULL_SPACE[n, r, seed]
+        code = prune(full_space(n), r, restarts=16, seed=seed)
+        assert code_digest(code) == digest and len(code) == size
+        # the first restart walks the same permutation, so more only helps
+        one = prune(full_space(n), r, restarts=1, seed=seed)
+        assert len(code) <= len(one) == size_one
+
     @pytest.mark.parametrize("r,n,seed", sorted(GOLDEN))
     def test_greedy_prune_matches_golden_digests(self, r, n, seed):
         code = prune(greedy_construct(r, n, seed=seed), r, restarts=16, seed=seed)
@@ -399,9 +423,9 @@ class TestNoisingSameSeed:
         moved = []
         move_ball = SignatureTable._move_ball
 
-        def counted(self, word, sign):
+        def counted(self, grouped):
             moved.append(self)
-            return move_ball(self, word, sign)
+            return move_ball(self, grouped)
 
         monkeypatch.setattr(SignatureTable, "_move_ball", counted)
         run = _NoisingRun(r, n, _small_run(r, n, size), None)
@@ -411,3 +435,29 @@ class TestNoisingSameSeed:
         assert 0 < accepted < rep.iterations_used
         # the initial adds, a removal and an add per accepted swap, the shrinks
         assert sum(t is run.table for t in moved) == size + 2 * accepted + shrinks
+
+
+class TestSearchUnderFingerprintCollisions:
+    """With the table's marks forced to collide, its f can only read high:
+    every search either returns a statically identifying code, or raises
+    its AssertionError, or finds nothing; none returns a bad code."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_no_bad_code_under_collisions(self, flat, monkeypatch):
+        collide_table_marks(monkeypatch, flat)
+        runs = [
+            (1, lambda s: noising_search(1, 5, params(12, seed=s, iters=800)).best_code),
+            (2, lambda s: noising_search(2, 6, params(10, seed=s, iters=800)).best_code),
+            (1, lambda s: greedy_construct(1, 6, seed=s)),
+            (2, lambda s: greedy_construct(2, 6, seed=s)),
+            (1, lambda s: prune(full_space(5), 1, restarts=4, seed=s)),
+            (2, lambda s: prune(full_space(6), 2, restarts=4, seed=s)),
+        ]
+        for r, run in runs:
+            for seed in range(2):
+                try:
+                    code = run(seed)
+                except AssertionError:
+                    continue
+                assert code is None or oracle_identifying(code.words, code.dim, r)
+

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -24,6 +25,7 @@ from conftest import (
     brute_cover_sets,
     brute_report,
     class_counts,
+    collide_table_marks,
     cover_set,
     full_add_delta_all,
     oracle_eval,
@@ -289,6 +291,7 @@ class TestTableBuild:
         counts = class_counts(t)
         assert sum(counts.values()) == 8
         assert all(c > 0 for c in counts.values())
+        assert counts == Counter(cover.values())
 
     def test_dim_and_radius_guards(self):
         with pytest.raises(ValueError):
@@ -562,17 +565,94 @@ class TestSwapDeltas:
 
     def test_remove_after_scoring_reuses_its_vectors(self, monkeypatch, rng):
         t = SignatureTable.build(random_code(rng, 6, kmin=6, kmax=10), 2)
-        computed = []
-        without = SignatureTable._without
-        monkeypatch.setattr(SignatureTable, "_without",
-                            lambda self, word: computed.append(word) or without(self, word))
+        grouped, scattered = [], []
+        group, terms = SignatureTable._group, SignatureTable._terms
+        monkeypatch.setattr(SignatureTable, "_group",
+                            lambda self, word: grouped.append(word) or group(self, word))
+        monkeypatch.setattr(SignatureTable, "_terms",
+                            lambda self, *a: scattered.append(self) or terms(self, *a))
+        t.add_delta_all()  # builds the score state on a replay table
+        grouped.clear()
+        scattered.clear()
         a, b = t.words()[:2]
         t.swap_deltas(a)
-        t.remove(a)  # straight after scoring the same word: reused
-        assert computed == [a]
+        assert len(grouped) == len(scattered) == 1
+        t.remove(a)  # straight after scoring the same word: no second grouping or scatter
+        assert grouped == [a] and len(scattered) == 1
         t.swap_deltas(b)
-        t.add(int(np.flatnonzero(~t.word_mask)[0]))
-        t.remove(b)  # a mutation came in between: recomputed
-        assert computed == [a, b, b]
+        c = int(np.flatnonzero(~t.word_mask)[0])
+        t.add(c)
+        t.remove(b)  # a mutation came in between: grouped and scattered again
+        assert grouped == [a, b, c, b] and len(scattered) == 4
         assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
         t.check()
+
+
+class TestTableFingerprints:
+    """The table keys its classes by XOR fingerprints of word marks; the
+    classes must still be the exact cover-set partition, and a forced
+    collision may only merge classes."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_classes_are_the_exact_cover_set_partition(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        r = data.draw(st.integers(1, min(3, n)), label="r")
+        t = SignatureTable(n, r)
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            words = t.words()
+            ops = (["add"] if t.size < 1 << n else []) + (["remove", "swap"] if words else [])
+            op = data.draw(st.sampled_from(ops), label="op")
+            if op == "add":
+                t.add(data.draw(st.sampled_from(np.flatnonzero(~t.word_mask).tolist()), label="word"))
+            else:
+                word = data.draw(st.sampled_from(words), label="codeword")
+                if op == "swap":
+                    t.swap_deltas(word)  # the removal then reuses its grouping
+                t.remove(word)
+            assert class_counts(t) == Counter(brute_cover_sets(t.words(), n, r).values())
+            t.check()
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_marks_are_apart_from_the_static_path(self, n):
+        marks = SignatureTable(n, 1)._mark
+        assert len(marks) == 1 << n and (marks & np.uint64(1)).all()
+        assert not np.isin(marks, signatures._marks(1 << n)).any()
+
+    def test_a_forced_collision_merges_classes(self, monkeypatch):
+        collide_table_marks(monkeypatch)
+        t = SignatureTable.build(Code.from_words([0, 3, 12, 15], 4), 1)
+        # vertex 1 has cover set {0, 3} and vertex 13 has {12, 15}
+        assert t._key_id[1] == t._key_id[13]
+        assert t.f > evaluate(t.code(), 1).f
+        with pytest.raises(AssertionError):
+            t.check()  # the recount is exact, not by fingerprint
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_f_never_reads_below_the_true_f(self, flat, monkeypatch, rng):
+        collide_table_marks(monkeypatch, flat)
+        merged = 0
+        for n, r in [(4, 1), (5, 1), (5, 2), (6, 1)]:
+            t = SignatureTable.build(Code.from_words([0, 3, 12, 15], n), r)
+            for _ in range(60):
+                words = t.words()
+                if words and (t.size == 1 << n or rng.random() < 0.4):
+                    word = int(rng.choice(words))
+                    if rng.random() < 0.5:
+                        t.swap_deltas(word)
+                    t.remove(word)
+                else:
+                    t.add(int(rng.choice(np.flatnonzero(~t.word_mask))))
+                true_f = sum(_static_nc_ns(t))
+                assert t.f >= true_f
+                merged += t.f > true_f
+                # the classes are the vertices grouped by the fingerprint of
+                # their exact cover set, so no exact class is ever split
+                cover = brute_cover_sets(t.words(), n, r)
+                fps = {}
+                for v, cid in enumerate(t._key_id.tolist()):
+                    fp = np.bitwise_xor.reduce(t._mark[sorted(cover[v])])
+                    assert fps.setdefault(cid, fp) == fp
+                assert len(set(fps.values())) == len(fps)
+        assert merged  # the collisions did bite
+
