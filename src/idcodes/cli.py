@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -415,13 +416,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "restarts", 1) < 1:  # construct and prune
             raise UsageError("--restarts must be >= 1")
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at shutdown
+        return rc
     except codefile.CodeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early: exit as SIGPIPE would, silently,
+        # and send the flush at shutdown to devnull so it cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

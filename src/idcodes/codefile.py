@@ -80,7 +80,7 @@ def parse_code_text(text: str) -> CodeFile:
         # exact below 2^MAX_DIM; a token too long for int64 turns into inf, not an error
         words = np.sort(np.array(body.split(), dtype=np.float64))
         if len(words) and words[-1] < 1 << dim and not np.any(words[1:] == words[:-1]):
-            return CodeFile(Code(dim, tuple(words.astype(np.int64).tolist())), radius)
+            return CodeFile(Code(dim, words.astype(np.uint32)), radius)
     # some token is bad: report the first one in file order
     seen: set[int] = set()
     for line_no, line, _ in lines:
@@ -103,10 +103,17 @@ def read_code_file(path: str | os.PathLike) -> CodeFile:
 
 
 def serialize_code(code: Code, radius: int, comments: Iterable[str] = ()) -> str:
-    out = [f"n={code.dim} r={radius}"]
-    out.extend(f"# {c}" for c in comments)
-    out.extend(str(w) for w in code.words)
-    return "\n".join(out) + "\n"
+    head = "".join(f"{line}\n" for line in (f"n={code.dim} r={radius}", *(f"# {c}" for c in comments)))
+    # one row per word: its decimal digits, padded to the widest, then a newline
+    width = len(str(code.words[-1]))
+    rows = np.full((len(code), width + 1), ord("\n"), dtype=np.uint8)
+    rest = code.array.copy()
+    for j in range(width - 1, -1, -1):
+        rest, rows[:, j] = np.divmod(rest, 10)
+    keep = np.ones(rows.shape, dtype=bool)  # drop the leading zeros, but not a lone one
+    np.logical_or.accumulate(rows[:, :width - 1] != 0, axis=1, out=keep[:, :width - 1])
+    rows[:, :width] += ord("0")
+    return head + rows[keep].tobytes().decode("ascii")
 
 
 def write_code_file(

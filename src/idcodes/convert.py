@@ -39,7 +39,7 @@ class DiscriminatingReport:
 
 def _check_even(code: Code) -> np.ndarray:
     """The codewords as a uint32 array, after checking they all have even weight."""
-    words = np.array(code.words, dtype=np.uint32)
+    words = code.array
     odd = np.flatnonzero(np.bitwise_count(words) & 1)
     if len(odd):
         raise ValueError(f"codeword {code.words[odd[0]]} has odd weight; all must be even")
@@ -72,9 +72,9 @@ def to_discriminating(code: Code) -> Code:
     """Append each codeword's parity bit; output lives in the even half
     of F^{n+1} and is r-discriminating there whenever the input is
     r-identifying (r odd)."""
-    words = np.array(code.words, dtype=np.int64)
+    words = code.array
     # w -> 2w + parity(w) keeps the words strictly increasing
-    return Code(code.dim + 1, tuple(((words << 1) | (np.bitwise_count(words) & 1)).tolist()))
+    return Code(code.dim + 1, (words << 1) | (np.bitwise_count(words) & 1))
 
 
 def to_identifying(code: Code, pos: int | None = None) -> Code:
@@ -95,4 +95,4 @@ def to_identifying(code: Code, pos: int | None = None) -> Code:
     high = words >> (low_bits + 1) << low_bits
     out = np.sort(high | (words & ((1 << low_bits) - 1)))
     assert np.all(out[1:] > out[:-1]), "coordinate deletion must stay injective"
-    return Code(code.dim - 1, tuple(out.tolist()))
+    return Code(code.dim - 1, out)

@@ -71,8 +71,7 @@ def compute_x_set(code: Code, r1: int, p: int, r2: int = 0) -> tuple[int, ...]:
     lo, hi = _band(r1, p, r2, n)
     if lo > hi:
         return tuple(range(1 << n))
-    words = np.array(code.words, dtype=np.uint32)
-    counts = np.bincount((words[:, None] ^ annulus_offsets(n, lo, hi)).ravel(), minlength=1 << n)
+    counts = np.bincount((code.array[:, None] ^ annulus_offsets(n, lo, hi)).ravel(), minlength=1 << n)
     return tuple(np.flatnonzero(counts == 0).tolist())
 
 
@@ -232,7 +231,7 @@ def apply_plan(plan: ExtensionPlan) -> Code:
     if plan.y_set:
         patch = _nonzero_cube(plan.p) if plan.separ is None else plan.separ
         patched = direct_sum(Code(plan.base.dim, plan.y_set), patch)
-        out = Code.from_words(out.words + patched.words, plan.out_dim)
+        out = Code.from_words(np.concatenate((out.array, patched.array)), plan.out_dim)
     _verify_output(out, plan.out_radius)
     return out
 

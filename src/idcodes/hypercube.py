@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -74,16 +74,20 @@ def odd_mask(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Code:
-    """A nonempty, duplicate-free set of vertices of F^dim, kept sorted."""
+    """A nonempty, duplicate-free set of vertices of F^dim, kept sorted.
+    ``words`` is given as any integer sequence or 1-D array and kept as a
+    tuple; ``array`` holds the same words as a read-only uint32 array."""
 
     dim: int
     words: tuple[int, ...]
+    array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        if not self.words:
+        # floats, strings, ints beyond 64 bits: no int dtype
+        arr = self.words if isinstance(self.words, np.ndarray) else np.array(self.words)
+        if not len(arr):
             raise ValueError("a code must be nonempty")
-        arr = np.array(self.words)  # floats, strings, ints beyond 64 bits: no int dtype
         if arr.dtype.kind not in "iu":
             raise ValueError(f"words must be integers in [0, 2^{self.dim}), got {arr.dtype}")
         if np.any(arr[1:] <= arr[:-1]):
@@ -91,13 +95,19 @@ class Code:
         for w in (arr[0], arr[-1]):
             if not 0 <= w < 1 << self.dim:
                 raise ValueError(f"word {w} out of range for dim {self.dim}")
+        array = arr.astype(np.uint32)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        if not isinstance(self.words, tuple):
+            object.__setattr__(self, "words", tuple(array.tolist()))
 
     @classmethod
     def from_words(cls, words: Iterable[int], dim: int) -> "Code":
-        arr = np.sort(np.array(list(words)))
-        keep = np.ones(len(arr), dtype=bool)
+        """The code of the distinct words, in any order."""
+        arr = np.sort(words if isinstance(words, np.ndarray) else np.array(list(words)))
+        keep = np.ones(len(arr), dtype=bool)  # not np.unique: its first call imports numpy.ma
         keep[1:] = arr[1:] != arr[:-1]
-        return cls(dim, tuple(arr[keep].tolist()))
+        return cls(dim, arr[keep])
 
     def __len__(self) -> int:
         return len(self.words)
@@ -112,17 +122,15 @@ class Code:
 
 def full_space(dim: int) -> Code:
     _check_dim(dim)
-    return Code(dim, tuple(range(1 << dim)))
+    return Code(dim, np.arange(1 << dim))
 
 
 def direct_sum(x_code: Code, y_code: Code) -> Code:
     """All concatenations u|v with u from the first code, v from the second."""
     _check_dim(x_code.dim + y_code.dim)
-    u = np.array(x_code.words, dtype=np.int64)
-    v = np.array(y_code.words, dtype=np.int64)
     # with both inputs sorted, the words u|v come out strictly increasing
-    words = ((u[:, None] << y_code.dim) | v).ravel()
-    out = Code(x_code.dim + y_code.dim, tuple(words.tolist()))
+    words = (x_code.array[:, None] << np.uint32(y_code.dim)) | y_code.array
+    out = Code(x_code.dim + y_code.dim, words.ravel())
     assert len(out) == len(x_code) * len(y_code)
     return out
 

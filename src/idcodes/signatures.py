@@ -25,12 +25,13 @@ Both fingerprint a cover set as the XOR of a random odd 64-bit mark per
 codeword, with marks from independent seeds.  The table keys its classes
 by fingerprint, so a collision can merge two (see ``SignatureTable``);
 its f then reads high, never low.  The static path is exact: it walks the
-ball offsets, and each column codewords ^ offset is duplicate-free, so it
-scatters straight into a covered flag and a fingerprint per vertex.  One
-sort of the covered fingerprints finds the vertices that might share a
-cover set; a second pass over the offsets gives only those their exact
-cover sets, as sorted rows of codeword indices, and the rows decide every
-count.
+ball offsets, and each column codewords ^ offset is duplicate-free, so one
+XOR pass per offset gives every vertex its fingerprint.  A nonzero
+fingerprint proves a nonempty cover set, and the targets left at zero are
+rechecked exactly.  One in-place sort of the covered fingerprints finds
+the vertices that might share a cover set; a second pass over the offsets
+gives only those their exact cover sets, as sorted rows of codeword
+indices, and the rows decide every count.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from .hypercube import Code, ball_offsets, odd_mask
 # search sizes, not for bulk verification (use evaluate for that).
 MAX_TABLE_DIM = 20
 
-# The static evaluator's per-vertex arrays peak near 32 bytes a vertex, so
-# 2^24 take about half of a 1 GB budget; n = 22 (discriminating) fits.  A
-# failing code adds up to about 40 bytes per (vertex, covering codeword)
-# pair of its candidates, at most len(words) * V(n, r) pairs.
+# The static evaluator's arrays peak near 22 bytes a vertex plus 24 a
+# codeword (tracemalloc), so 2^24 take 0.35 GB, 0.75 GB for the full space;
+# n = 22 (discriminating) fits.  A failing code adds up to about 40 bytes
+# per (vertex, covering codeword) pair of its candidates, at most
+# len(words) * V(n, r) pairs.
 MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
@@ -330,8 +332,7 @@ class SignatureTable:
 
 def _marks(k: int) -> np.ndarray:
     """k random odd 64-bit fingerprint marks, one per codeword."""
-    rng = np.random.Generator(np.random.PCG64(_FP_SEED))
-    return rng.integers(0, 2**63, size=k, dtype=np.uint64) | np.uint64(1)
+    return np.random.PCG64(_FP_SEED).random_raw(k) | np.uint64(1)
 
 
 @cache
@@ -347,30 +348,46 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     """nc/ns over the target vertices (all of F^n, or its odd-weight half),
     plus witnesses following ``diagnose``'s rule.
 
-    Per ball offset, the duplicate-free column words ^ offset takes one
-    fancy-indexed store into a covered flag and one XOR of the codewords'
-    random marks into a 64-bit fingerprint.  Equal cover sets give equal
-    fingerprints, so one sort that finds no repeat among the covered targets
-    (every identifying code) ends the pass.  Otherwise a second pass collects
-    the (vertex, codeword index) pairs of the candidates, at most
-    len(words) * V of them; sorted, they give each candidate's exact cover
-    set as a row, and np.unique over the rows of each length gives the
-    classes, so no count or witness rests on a fingerprint.
+    Per ball offset, the duplicate-free column words ^ offset XORs the
+    codewords' random marks into a 64-bit fingerprint per vertex (gather,
+    XOR, scatter).  Nonzero means covered; the targets left at zero are
+    rechecked exactly, from a codeword mask if at most len(words) of them,
+    else by scattering the codeword balls.  Equal cover sets give equal
+    fingerprints, so an in-place sort that finds no repeat among the covered
+    targets (every identifying code) ends the pass.  Otherwise a second
+    pass collects the (vertex, codeword index) pairs of the candidates, at
+    most len(words) * V of them; sorted, they give each candidate's exact
+    cover set as a row, and np.unique over the rows of each length gives
+    the classes, so no count or witness rests on a fingerprint.
     """
     if n > MAX_EVAL_DIM:
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
     n_verts = 1 << n
     offs = ball_offsets(n, r)
     marks = _marks(len(words))
-    covered = np.zeros(n_verts, dtype=bool)
     fp = np.zeros(n_verts, dtype=np.uint64)
+    col = np.empty(len(words), dtype=np.intp)  # the index dtype: no cast per scatter
+    hit = np.empty(len(words), dtype=np.uint64)
     for off in offs:
-        col = words ^ off
-        covered[col] = True
-        fp[col] ^= marks
+        np.bitwise_xor(words, off, out=col)
+        np.take(fp, col, out=hit, mode="clip")  # in range anyway; "clip" skips a buffered check
+        hit ^= marks
+        fp[col] = hit
     targets = odd_mask(n) if odd_targets else True
+    covered = fp != 0
+    empty = ~covered & targets  # so far: the targets at fingerprint 0, rechecked exactly
+    if np.count_nonzero(empty) > len(words):
+        for off in offs:
+            covered[np.bitwise_xor(words, off, out=col)] = True
+        empty &= ~covered
+    elif empty.any():
+        is_word = np.zeros(n_verts, dtype=bool)
+        is_word[words] = True
+        zero = np.flatnonzero(empty)
+        zero = zero[is_word[zero[:, None] ^ offs].any(axis=1)]
+        covered[zero] = True
+        empty[zero] = False
     live = covered & targets
-    empty = ~covered & targets
     nc = int(np.count_nonzero(empty))
     ns = _pairs(nc)  # the uncovered vertices form one exact class
     uncovered = pair = None
@@ -378,8 +395,8 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
         uncovered = int(np.argmax(empty))
         if nc >= 2:
             pair = (uncovered, uncovered + 1 + int(np.argmax(empty[uncovered + 1:])))
-    fl = fp[live]
-    dup = np.sort(fl)
+    dup = fp[live]
+    dup.sort()
     dup = dup[1:][dup[1:] == dup[:-1]]
     if not len(dup):
         return nc, ns, uncovered, pair
@@ -387,7 +404,7 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     low = np.uint64(n_verts - 1)
     bucket = np.zeros(n_verts, dtype=bool)
     bucket[dup & low] = True
-    live[live] = bucket[fl & low]
+    live[live] = bucket[fp[live] & low]
     found = []
     for off in offs:
         col = words ^ off
@@ -413,8 +430,7 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
 
 def evaluate(code: Code, radius: int) -> Evaluation:
     """One-shot exact evaluation of f = nc + ns over all of F^n."""
-    words = np.array(code.words, dtype=np.uint32)
-    nc, ns, _, _ = _evaluate_static(words, code.dim, radius, False)
+    nc, ns, _, _ = _evaluate_static(code.array, code.dim, radius, False)
     return Evaluation(nc, ns, nc + ns)
 
 
@@ -438,8 +454,7 @@ def diagnose(code: Code, radius: int) -> VerifyReport:
     the two smallest members of the exact cover-set class holding the
     smallest unseparated covered vertex.  Each is None when none exists.
     """
-    words = np.array(code.words, dtype=np.uint32)
-    nc, ns, uncovered, pair = _evaluate_static(words, code.dim, radius, True)
+    nc, ns, uncovered, pair = _evaluate_static(code.array, code.dim, radius, True)
     return VerifyReport(
         dim=code.dim,
         radius=radius,

@@ -13,7 +13,9 @@ implementations written here from scratch with different techniques:
 canonical witnesses that ``diagnose`` and ``discriminating_report`` report.
 
 ``reference_parse`` is the per-token code-file reader that the vectorized
-``codefile.parse_code_text`` replaced; the parser tests compare against it.
+``codefile.parse_code_text`` replaced, and ``reference_serialize`` the
+one-``str()``-per-word writer that ``codefile.serialize_code`` replaced;
+the code-file tests compare against both.
 
 The two oracles are also cross-checked against each other, so a mistake
 in any one implementation cannot silently define correctness.
@@ -398,6 +400,14 @@ def reference_parse(text):
     if not words:
         raise CodeFileError(len(lines) or 1, "no codewords")
     return CodeFile(Code(dim, tuple(sorted(words))), radius)
+
+
+def reference_serialize(code, radius, comments=()):
+    """The header, one ``# `` line per comment, then one decimal line per word."""
+    out = [f"n={code.dim} r={radius}"]
+    out.extend(f"# {c}" for c in comments)
+    out.extend(str(w) for w in code.words)
+    return "\n".join(out) + "\n"
 
 
 def random_code(rng, n, kmin=2, kmax=None):

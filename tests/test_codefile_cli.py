@@ -1,5 +1,10 @@
+import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +20,12 @@ from idcodes.codefile import (
     write_code_file,
 )
 from idcodes.exact import min_identifying
+from idcodes.extend import extend_c1
 from idcodes.heuristics import greedy_construct, prune
 from idcodes.hypercube import MAX_DIM
 from idcodes.signatures import MAX_EVAL_DIM
 
-from conftest import random_code, reference_parse
+from conftest import random_code, reference_parse, reference_serialize
 
 
 class TestCodeFileFormat:
@@ -40,6 +46,25 @@ class TestCodeFileFormat:
         assert lines[1] == "# hello"
         assert lines[2:] == ["1", "3"]
         assert text.endswith("\n")
+
+    @settings(max_examples=150)
+    @given(st.integers(1, MAX_DIM).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40),
+        st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8),
+                 max_size=3))))
+    def test_serialize_matches_the_per_word_join(self, case):
+        n, words, comments = case
+        single_digits = [w % min(10, 1 << n) for w in words]
+        for ws in (words, [0, *words], single_digits):
+            code = Code.from_words(ws, n)
+            assert serialize_code(code, 2, comments) == reference_serialize(code, 2, comments)
+
+    def test_serialized_n20_extension_is_pinned(self):
+        text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
+        out = serialize_code(extend_c1(parse_code_text(text).code, 1, 11), 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1dfaf4d51cd6be6bd609eee49e05fc6895436c993b208208bae4a6353996b866")
 
     def test_parse_tolerates_comments_blanks_and_order(self):
         cf = parse_code_text("\n# hi\nn=3 r=1\n\n5\n0 # trailing\n# mid\n2\n")
@@ -456,8 +481,6 @@ class TestCliExactAndBounds:
         assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
 
     def test_bounds_compare_untabulated_cell(self, capsys):
-        from importlib import resources
-
         path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")
         assert main(["bounds", "--compare", str(path), "--r", "7"]) == 2
         assert capsys.readouterr().err == "error: no tabulated bounds for r=7, n=9\n"
@@ -472,10 +495,38 @@ class TestCliExactAndBounds:
             main(["exact", "--r", "1", "--n", "4"])
 
 
+class TestClosedStdout:
+    def test_broken_pipe_exits_141_silently(self, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "stdout", "w") as target:
+            class ClosedPipe(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["bounds"]) == 141
+            # what is still buffered for stdout at shutdown now goes nowhere
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_a_short_reply(self):
+        path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "idcodes.cli", "verify", str(path), "--r", "1"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+
 class TestShippedReferenceCode:
     def test_packaged_114_word_code(self, capsys):
-        from importlib import resources
-
         path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")
         cf = parse_code_text(path.read_text())
         assert cf.code.dim == 9

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from idcodes import Code, ball_size, direct_sum, full_space, is_identifying
 from idcodes.cli import _bin
+from idcodes.codefile import parse_code_text
 from idcodes.convert import to_discriminating, to_identifying
 from idcodes.hypercube import (
     MAX_DIM,
@@ -207,6 +208,55 @@ class TestCode:
     def test_full_space(self):
         c = full_space(4)
         assert len(c) == 16
+
+    def _routes(self):
+        """The even-weight code of F^4 built six ways, and a direct sum
+        built two ways."""
+        even = Code(4, (0, 3, 5, 6, 9, 10, 12, 15))
+        return [
+            even,
+            Code(4, [0, 3, 5, 6, 9, 10, 12, 15]),
+            Code(4, np.array(even.words, dtype=np.int64)),
+            Code.from_words([15, 0, 3, 3, 12, 5, 6, 10, 9], 4),
+            to_discriminating(full_space(3)),
+            parse_code_text("n=4 r=1\n15 0 3 12 5 6 10 9\n").code,
+        ], [
+            Code(4, (0, 3, 5, 6, 8, 11, 13, 14)),
+            direct_sum(Code(1, (0, 1)), Code(3, (0, 3, 5, 6))),
+        ]
+
+    def test_array_is_a_read_only_uint32_copy_of_the_words(self):
+        for c in sum(self._routes(), []):
+            assert c.array.dtype == np.uint32 and not c.array.flags.writeable
+            assert c.array.tolist() == list(c.words)
+            assert type(c.words) is tuple and all(type(w) is int for w in c.words)
+            with pytest.raises(ValueError):
+                c.array[0] = 1
+        source = np.array([1, 2, 4], dtype=np.uint32)
+        Code(3, source)
+        assert source.flags.writeable  # the caller's array is copied, not frozen
+
+    def test_routes_agree_on_equality_hash_and_repr(self):
+        for codes in self._routes():
+            assert all(c == codes[0] and hash(c) == hash(codes[0]) for c in codes)
+            assert len(set(codes)) == 1
+        assert repr(self._routes()[0][2]) == "Code(dim=4, words=(0, 3, 5, 6, 9, 10, 12, 15))"
+
+    @pytest.mark.parametrize("words", [
+        (),
+        (2, 1),
+        (1, 1),
+        (0, 8),
+        (-1, 2),
+        (1.5, 2),
+        (True, False),
+    ])
+    def test_array_input_raises_the_tuple_errors(self, words):
+        with pytest.raises(ValueError) as want:
+            Code(3, words)
+        with pytest.raises(ValueError) as got:
+            Code(3, np.array(words))
+        assert str(got.value) == str(want.value)
 
     def test_direct_sum_words(self):
         a = Code.from_words([0, 3], 2)
