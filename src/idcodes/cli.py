@@ -426,16 +426,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout early: exit as SIGPIPE would, silently,
-        # and send the flush at shutdown to devnull so it cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
+        return 141  # the reader closed stdout early: exit as SIGPIPE would, silently
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> None:
+    """The ``idcodes`` command: exit with main()'s code."""
+    rc = main()
+    if rc == 141:  # stdout's reader is gone: send the flush at shutdown to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -105,7 +105,7 @@ def read_code_file(path: str | os.PathLike) -> CodeFile:
 def serialize_code(code: Code, radius: int, comments: Iterable[str] = ()) -> str:
     head = "".join(f"{line}\n" for line in (f"n={code.dim} r={radius}", *(f"# {c}" for c in comments)))
     # one row per word: its decimal digits, padded to the widest, then a newline
-    width = len(str(code.words[-1]))
+    width = len(str(code.array[-1]))
     rows = np.full((len(code), width + 1), ord("\n"), dtype=np.uint8)
     rest = code.array.copy()
     for j in range(width - 1, -1, -1):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable
 
@@ -72,34 +71,43 @@ def odd_mask(dim: int) -> np.ndarray:
     return (np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)) & 1) == 1
 
 
-@dataclass(frozen=True)
 class Code:
-    """A nonempty, duplicate-free set of vertices of F^dim, kept sorted.
-    ``words`` is given as any integer sequence or 1-D array and kept as a
-    tuple; ``array`` holds the same words as a read-only uint32 array."""
+    """A nonempty, duplicate-free set of vertices of F^dim, kept sorted.  The
+    words, given as any integer sequence or 1-D array, are stored once as the
+    read-only uint32 ``array``; ``words``, their tuple, is built on first use."""
 
-    dim: int
-    words: tuple[int, ...]
-    array: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
+    def __init__(self, dim: int, words: Iterable[int] | np.ndarray) -> None:
+        _check_dim(dim)
         # floats, strings, ints beyond 64 bits: no int dtype
-        arr = self.words if isinstance(self.words, np.ndarray) else np.array(self.words)
+        arr = words if isinstance(words, np.ndarray) else np.array(words)
         if not len(arr):
             raise ValueError("a code must be nonempty")
         if arr.dtype.kind not in "iu":
-            raise ValueError(f"words must be integers in [0, 2^{self.dim}), got {arr.dtype}")
+            raise ValueError(f"words must be integers in [0, 2^{dim}), got {arr.dtype}")
         if np.any(arr[1:] <= arr[:-1]):
             raise ValueError("words must be strictly increasing")
         for w in (arr[0], arr[-1]):
-            if not 0 <= w < 1 << self.dim:
-                raise ValueError(f"word {w} out of range for dim {self.dim}")
+            if not 0 <= w < 1 << dim:
+                raise ValueError(f"word {w} out of range for dim {dim}")
         array = arr.astype(np.uint32)
         array.flags.writeable = False
-        object.__setattr__(self, "array", array)
-        if not isinstance(self.words, tuple):
-            object.__setattr__(self, "words", tuple(array.tolist()))
+        vars(self).update(dim=dim, array=array)  # past the immutable __setattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Code is immutable; cannot set {name!r}")
+
+    @cached_property
+    def words(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Code) and self.dim == other.dim and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Code(dim={self.dim}, words={self.words})"
 
     @classmethod
     def from_words(cls, words: Iterable[int], dim: int) -> "Code":
@@ -110,7 +118,7 @@ class Code:
         return cls(dim, arr[keep])
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.array)
 
     def __contains__(self, item) -> bool:
         i = bisect_left(self.words, item)

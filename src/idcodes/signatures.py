@@ -26,12 +26,11 @@ codeword, with marks from independent seeds.  The table keys its classes
 by fingerprint, so a collision can merge two (see ``SignatureTable``);
 its f then reads high, never low.  The static path is exact: it walks the
 ball offsets, and each column codewords ^ offset is duplicate-free, so one
-XOR pass per offset gives every vertex its fingerprint.  A nonzero
-fingerprint proves a nonempty cover set, and the targets left at zero are
-rechecked exactly.  One in-place sort of the covered fingerprints finds
-the vertices that might share a cover set; a second pass over the offsets
-gives only those their exact cover sets, as sorted rows of codeword
-indices, and the rows decide every count.
+XOR pass per offset gives every vertex its fingerprint; nonzero proves it
+covered, and targets left at zero are rechecked exactly.  One in-place sort
+of the covered fingerprints finds the vertices that might share a cover
+set; a second pass over the offsets gives only those their exact cover
+sets, as sorted rows of codeword indices, and the rows decide every count.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from .hypercube import Code, ball_offsets, odd_mask
 MAX_TABLE_DIM = 20
 
 # The static evaluator's arrays peak near 22 bytes a vertex plus 24 a
-# codeword (tracemalloc), so 2^24 take 0.35 GB, 0.75 GB for the full space;
-# n = 22 (discriminating) fits.  A failing code adds up to about 40 bytes
-# per (vertex, covering codeword) pair of its candidates, at most
-# len(words) * V(n, r) pairs.
+# codeword (tracemalloc): 0.35 GB at 2^24, 0.75 GB for the full space.  A
+# failing code adds up to about 40 bytes per (vertex, covering codeword)
+# pair of its candidates, at most len(words) * V(n, r) pairs.
 MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
@@ -349,16 +347,15 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     plus witnesses following ``diagnose``'s rule.
 
     Per ball offset, the duplicate-free column words ^ offset XORs the
-    codewords' random marks into a 64-bit fingerprint per vertex (gather,
-    XOR, scatter).  Nonzero means covered; the targets left at zero are
-    rechecked exactly, from a codeword mask if at most len(words) of them,
-    else by scattering the codeword balls.  Equal cover sets give equal
+    codewords' random marks into a 64-bit fingerprint per vertex.  Nonzero
+    means covered; if a target is left at zero, one scatter of the codeword
+    balls rechecks them all exactly.  Equal cover sets give equal
     fingerprints, so an in-place sort that finds no repeat among the covered
-    targets (every identifying code) ends the pass.  Otherwise a second
-    pass collects the (vertex, codeword index) pairs of the candidates, at
-    most len(words) * V of them; sorted, they give each candidate's exact
-    cover set as a row, and np.unique over the rows of each length gives
-    the classes, so no count or witness rests on a fingerprint.
+    targets (every identifying code) ends the pass.  Otherwise a second pass
+    collects the (vertex, codeword index) pairs of the candidates, at most
+    len(words) * V of them; sorted, they give each candidate's exact cover
+    set as a row, and np.unique over the rows of each length gives the
+    classes, so no count or witness rests on a fingerprint.
     """
     if n > MAX_EVAL_DIM:
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
@@ -376,17 +373,10 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     targets = odd_mask(n) if odd_targets else True
     covered = fp != 0
     empty = ~covered & targets  # so far: the targets at fingerprint 0, rechecked exactly
-    if np.count_nonzero(empty) > len(words):
+    if empty.any():
         for off in offs:
             covered[np.bitwise_xor(words, off, out=col)] = True
         empty &= ~covered
-    elif empty.any():
-        is_word = np.zeros(n_verts, dtype=bool)
-        is_word[words] = True
-        zero = np.flatnonzero(empty)
-        zero = zero[is_word[zero[:, None] ^ offs].any(axis=1)]
-        covered[zero] = True
-        empty[zero] = False
     live = covered & targets
     nc = int(np.count_nonzero(empty))
     ns = _pairs(nc)  # the uncovered vertices form one exact class

@@ -495,21 +495,42 @@ class TestCliExactAndBounds:
             main(["exact", "--r", "1", "--n", "4"])
 
 
-class TestClosedStdout:
-    def test_broken_pipe_exits_141_silently(self, tmp_path, monkeypatch, capsys):
-        with open(tmp_path / "stdout", "w") as target:
-            class ClosedPipe(io.StringIO):
-                def write(self, text):
-                    raise BrokenPipeError(32, "Broken pipe")
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_141_silently(self, monkeypatch, capsys):
+        # a stdout with no file descriptor, as under contextlib.redirect_stdout
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["bounds"]) == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.fixture
+    def file_pipe(self, tmp_path):
+        """A closed pipe over a real file descriptor."""
+        with open(tmp_path / "stdout", "w") as target:
+            class ClosedFilePipe(ClosedPipe):
                 def fileno(self):
                     return target.fileno()
 
-            monkeypatch.setattr(sys, "stdout", ClosedPipe())
-            assert main(["bounds"]) == 141
-            # what is still buffered for stdout at shutdown now goes nowhere
-            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
-        assert capsys.readouterr().err == ""
+            yield ClosedFilePipe()
+
+    def test_main_leaves_file_descriptors_alone(self, file_pipe, monkeypatch):
+        before = os.fstat(file_pipe.fileno())
+        monkeypatch.setattr(sys, "stdout", file_pipe)
+        assert main(["bounds"]) == 141
+        assert os.path.samestat(os.fstat(file_pipe.fileno()), before)
+
+    def test_command_sends_stdout_to_devnull_after_a_closed_pipe(self, file_pipe, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", file_pipe)
+        monkeypatch.setattr(sys, "argv", ["idcodes", "bounds"])
+        with pytest.raises(SystemExit) as done:
+            cli.run()
+        assert done.value.code == 141
+        # what is still buffered for stdout at shutdown now goes nowhere
+        assert os.path.samestat(os.fstat(file_pipe.fileno()), os.stat(os.devnull))
 
     def test_reader_gone_before_a_short_reply(self):
         path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")

@@ -236,6 +236,14 @@ class TestCode:
         Code(3, source)
         assert source.flags.writeable  # the caller's array is copied, not frozen
 
+    def test_code_is_immutable_and_builds_its_tuple_once(self):
+        c = Code(3, np.array([1, 2, 4]))
+        for name, value in (("dim", 4), ("array", np.arange(3)), ("words", (1, 2))):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        assert c.words == (1, 2, 4) and c.words is c.words
+        assert (c.dim, c.array.tolist()) == (3, [1, 2, 4])
+
     def test_routes_agree_on_equality_hash_and_repr(self):
         for codes in self._routes():
             assert all(c == codes[0] and hash(c) == hash(codes[0]) for c in codes)

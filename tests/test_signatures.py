@@ -203,23 +203,21 @@ class TestFingerprintCollisions:
         assert merged_classes > 0  # the fingerprints alone would have been wrong
 
     @pytest.mark.parametrize("odd_only", [False, True])
-    def test_zero_fingerprints_are_rechecked_on_either_side(self, odd_only, rng):
+    def test_zero_fingerprints_are_rechecked_exactly(self, odd_only, rng):
         # every target with an even cover count, not only the uncovered ones,
-        # is left at fingerprint 0; at most |C| of them get their balls
-        # gathered, more get the codeword balls scattered
-        sides = set()
+        # is left at fingerprint 0; the recheck must find which are covered
+        seen = set()
         for _ in range(40):
             n = int(rng.integers(3, 8))
             r = int(rng.choice([1, 3])) if odd_only else int(rng.integers(1, 4))
             words = _random_words(rng, n, even=odd_only)
             cover = brute_cover_sets(words, n, r)
-            zero = sum(len(cover[v]) % 2 == 0 for v in range(1 << n)
-                       if not odd_only or bin(v).count("1") % 2)
-            sides.add("scatter" if zero > len(words) else "gather" if zero else "none")
+            counts = {len(cover[v]) for v in range(1 << n) if not odd_only or bin(v).count("1") % 2}
+            seen.add(any(c and c % 2 == 0 for c in counts))
             code = Code.from_words(words, n)
             rep = discriminating_report(code, r) if odd_only else diagnose(code, r)
             assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == brute_report(words, n, r, odd_only)
-        assert {"gather", "scatter"} <= sides
+        assert seen == {False, True}  # covered targets at fingerprint 0, and none
 
 
 class TestStaticLimits:
