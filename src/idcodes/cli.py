@@ -205,7 +205,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else cf.radius
     try:
         pruned = heuristics.prune(cf.code, r, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
+    except heuristics.NotIdentifyingError as exc:
         _emit(args, {"error": str(exc)}, [f"FAIL: {exc}"])
         return 1
     lines = [f"size {len(cf.code)} -> {len(pruned)}"]

@@ -30,7 +30,7 @@ _HEADER = re.compile(r"^n=([0-9]+)\s+r=([0-9]+)$")
 # str.splitlines ends a line at each of these; a comment runs up to one
 _EOL = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-_NOT_DIGIT_OR_SPACE = re.compile(r"[^0-9\s]")
+_DIGITS_AND_C_SPACE = b"0123456789 \t\n\r\v\f"
 
 
 class CodeFileError(ValueError):
@@ -76,12 +76,12 @@ def parse_code_text(text: str) -> CodeFile:
     if dim > MAX_DIM:
         raise CodeFileError(line_no, f"dim must be at most {MAX_DIM}")
     body = _COMMENT.sub("", text[start:])
-    if not _NOT_DIGIT_OR_SPACE.search(body):
-        # exact below 2^MAX_DIM; a token too long for int64 turns into inf, not an error
-        words = np.sort(np.array(body.split(), dtype=np.float64))
-        if len(words) and words[-1] < 1 << dim and not np.any(words[1:] == words[:-1]):
+    if body.strip() and body.isascii() and not body.encode().translate(None, _DIGITS_AND_C_SPACE):
+        # fromstring splits at C whitespace and reads a blank body as [0]; a token past int64 reads as its maximum
+        words = np.sort(np.fromstring(body, dtype=np.int64, sep=" "))
+        if words[-1] < 1 << dim and not np.any(words[1:] == words[:-1]):
             return CodeFile(Code(dim, words.astype(np.uint32)), radius)
-    # some token is bad: report the first one in file order
+    # some token is bad, or a separator is whitespace only to str.split: walk the tokens
     seen: set[int] = set()
     for line_no, line, _ in lines:
         for tok in line.split():
@@ -93,8 +93,9 @@ def parse_code_text(text: str) -> CodeFile:
             if word in seen:
                 raise CodeFileError(line_no, f"duplicate codeword {word}")
             seen.add(word)
-    assert not seen, "a well-formed body was rejected"
-    raise CodeFileError(line_no, "no codewords")
+    if not seen:
+        raise CodeFileError(line_no, "no codewords")
+    return CodeFile(Code(dim, sorted(seen)), radius)
 
 
 def read_code_file(path: str | os.PathLike) -> CodeFile:

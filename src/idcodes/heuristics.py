@@ -99,6 +99,10 @@ class SearchReport:
         return "\n".join(lines)
 
 
+class NotIdentifyingError(ValueError):
+    """The code given to ``prune`` is not identifying at its radius."""
+
+
 class _StopSearch(Exception):
     """Internal signal: the early-stop size or the iteration budget was reached."""
 
@@ -151,7 +155,8 @@ class _NoisingRun:
                 raise _StopSearch
             if self.table.size <= 1:
                 return
-            best = min(self.table.words(), key=lambda w: (self.table.remove_delta(w), w))
+            deltas = np.where(self.table.word_mask, self.table.remove_delta_all(), _NEVER)
+            best = int(np.argmin(deltas))  # least harmful, then smallest
             self.table.remove(best)
             self.order[self.order.index(best)] = None
 
@@ -257,25 +262,26 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
     Runs ``restarts`` passes with independent random removal orders over
     one table and keeps the smallest result.  A superset of an identifying
     code is identifying, so a codeword that cannot go from C cannot go
-    from any subset that holds it.  Hence one ``remove_delta`` per
-    codeword picks the candidates, and one pass over them is 1-minimal:
-    each word it keeps could not go from a superset of the result.  A
-    restart adds back what it removed.  Raises ValueError when the input
-    is not r-identifying.
+    from any subset that holds it.  Hence one ``remove_delta_all`` over
+    the table built in one pass picks the candidates, and one pass over
+    them is 1-minimal: each word it keeps could not go from a superset of
+    the result.  A restart adds back what it removed.  Raises ValueError
+    for a dimension the table cannot take, before any evaluation, and its
+    subclass NotIdentifyingError when the input is not r-identifying.
     """
-    if evaluate(code, r).f != 0:
-        raise ValueError(f"input code is not {r}-identifying")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    table = SignatureTable.build(code, r)  # refuses a dimension beyond the table's before any evaluation
+    if evaluate(code, r).f != 0:
+        raise NotIdentifyingError(f"input code is not {r}-identifying")
     rng = np.random.Generator(np.random.PCG64(seed))
-    table = SignatureTable.build(code, r)
-    free = [table.remove_delta(w) == 0 for w in code.words]
+    free = table.remove_delta_all()[code.array] == 0
     best: Code = code
     for _ in range(restarts):
         removed = []
-        for i in rng.permutation(len(code.words)).tolist():
-            w = code.words[i]
-            if free[i] and table.size > 1 and table.remove_delta(w) == 0:
+        order = rng.permutation(len(code))
+        for w in code.array[order[free[order]]].tolist():
+            if table.size > 1 and table.remove_delta(w) == 0:
                 table.remove(w)
                 removed.append(w)
         if table.size < len(best):
@@ -294,4 +300,5 @@ __all__ = [
     "noising_search",
     "greedy_construct",
     "prune",
+    "NotIdentifyingError",
 ]

@@ -14,10 +14,12 @@ apart), so f = 0 still characterizes the property exactly.
 Two evaluation paths are provided and cross-checked in the test suite:
 
 * ``SignatureTable`` — a mutable table updated ball by ball under codeword
-  addition and removal.  Once asked for a score it keeps two per-word
-  vectors that give the f-change of every addition (``add_delta_all``) or
-  swap of one codeword (``swap_deltas``, which mutates nothing), at O(2^n)
-  per move.  This is what the local-search constructions iterate on.
+  addition and removal, or built from a code in one pass (``build``).
+  Once asked for a score it keeps two per-word vectors that give the
+  f-change of every addition (``add_delta_all``) or swap of one codeword
+  (``swap_deltas``, which mutates nothing), at O(2^n) per move;
+  ``remove_delta_all`` scores every removal in one pass.  This is what the
+  local-search constructions iterate on.
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
   one-shot verification up to dimension MAX_EVAL_DIM.
 
@@ -44,7 +46,10 @@ import numpy as np
 from .hypercube import Code, ball_offsets, odd_mask
 
 # Per-vertex tables get big fast; the incremental engine is meant for the
-# search sizes, not for bulk verification (use evaluate for that).
+# search sizes, not for bulk verification (use evaluate for that).  Swap
+# scores also read a ball-intersection table, cached per (n, r): V(V - 1)
+# int32 offsets, two pad rows per row width and a 2^n int32 index, 4.2 MB
+# at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
 MAX_TABLE_DIM = 20
 
 # The static evaluator's arrays peak near 22 bytes a vertex plus 24 a
@@ -87,7 +92,9 @@ class SignatureTable:
     covered vertices as uncovered) but never splits one: f reads at least
     the true f.  A move makes at most V keys, each meeting one of at most
     2^n live fingerprints with probability 2^-63 (the marks are odd), so it
-    collides with probability about V 2^n / 2^63 at most.  ``check``
+    collides with probability about V 2^n / 2^63 at most.  Either way the
+    classes are the vertices grouped by the fingerprint of their exact
+    cover set, which is how ``build`` makes them in one pass.  ``check``
     recounts exactly.  Membership is ``word_mask`` and ``size``.  Mutate
     from one thread at a time.
     """
@@ -117,9 +124,24 @@ class SignatureTable:
 
     @classmethod
     def build(cls, code: Code, radius: int) -> "SignatureTable":
+        """The table of `code` in one pass: one sort of the vertices'
+        fingerprints gives the classes that adding its words would make."""
         table = cls(code.dim, radius)
-        for word in code.words:
-            table.add(word)
+        words = code.array
+        fp = _fingerprints(words, table._mark[words], table._offsets, 1 << code.dim)
+        order = fp.argsort()
+        fp = fp[order]
+        first = np.flatnonzero(np.concatenate(([True], fp[1:] != fp[:-1])))
+        keys, counts = fp[first], np.diff(first, append=len(fp))
+        fresh = len(keys) - (keys[0] == 0)  # fingerprint 0 is the empty class, id 0
+        table._top -= fresh
+        ids = np.concatenate((np.full(len(keys) - fresh, _EMPTY_ID), table._free[table._top:table._top + fresh]))
+        table._key_id[order] = np.repeat(ids, counts)
+        table._count[_EMPTY_ID] = 0
+        table._count[ids], table._fp[ids] = counts, keys
+        table._ids.update(zip(keys.tolist(), ids.tolist()))
+        table.ns = int(counts @ (counts - 1)) // 2
+        table._word_mask[words], table.size = True, len(words)
         return table
 
     @property
@@ -271,16 +293,19 @@ class SignatureTable:
         member = group[self._key_id]  # 0 on the ball unless fingerprints collide
         outside = member.nonzero()[0]
         jo = member[outside] - 1
-        # the rows of the uncovered vertices land in the second half, t
+        # the rows of the uncovered vertices land in the second third, t
         rows = np.concatenate((ball ^ np.where(covered, 0, n_verts)[inv], outside))
         weight = np.concatenate((np.where(covered, -k2, 1)[inv], -k1[jo]))
-        out = np.zeros(2 * n_verts, dtype=np.int64)
+        out = np.zeros(3 * n_verts, dtype=np.int64)  # the last third takes the pads of _meets
         np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), np.repeat(weight, len(self._offsets)))
         if len(outside):
             ia, ib = (inv[:, None] == jo).nonzero()  # jo holds no uncovered class
-            s = ball[ia, None] ^ self._offsets
-            np.add.at(out, s[np.bitwise_count(s ^ outside[ib, None]) <= self.radius], 2)
-        return out[n_verts:], out[:n_verts]
+            a = ball[ia]
+            index, blocks = _meets(self.dim, self.radius)
+            row = index[a ^ outside[ib]]
+            for shift, block in blocks:
+                np.add.at(out, a[:, None] ^ block.take(row - shift, axis=0, mode="clip"), 2)
+        return out[n_verts:2 * n_verts], out[:n_verts]
 
     def _removal(self, word: int, terms: bool = False):
         """[word, remove_delta(word), L, _group(word), the size of each
@@ -306,6 +331,24 @@ class SignatureTable:
         """f(C - word) - f(C) for a codeword (see _removal)."""
         return self._removal(word)[1]
 
+    def remove_delta_all(self) -> np.ndarray:
+        """remove_delta of every codeword w, as a vector over F^n whose other
+        entries are meaningless: as in _removal, each v in B(w) adds the size
+        of the class at fingerprint fp(v) ^ mark(w), and 1 if that is 0."""
+        live = np.flatnonzero(self._count)  # the empty class only while nc > 0
+        live = live[self._fp[live].argsort()]
+        keys, sizes, fp = self._fp[live], self._count[live], self._fp[self._key_id]
+        words = np.flatnonzero(self._word_mask)
+        marks = self._mark[words]
+        total = np.zeros(len(words), dtype=np.int64)
+        for off in self._offsets:
+            q = fp[words ^ off] ^ marks
+            at = keys.searchsorted(q)
+            total += np.where(keys.take(at, mode="clip") == q, sizes.take(at, mode="clip"), 0) + (q == 0)
+        out = np.zeros(1 << self.dim, dtype=np.int64)
+        out[words] = total
+        return out
+
     def check(self) -> None:
         """Assert the classes, counts, fingerprints and ns against an exact
         recount of every cover set from the codewords."""
@@ -328,6 +371,33 @@ class SignatureTable:
         assert self.ns == sum(_pairs(c) for c in counted.values())
 
 
+@cache
+def _meets(dim: int, radius: int):
+    """(index, blocks): B(a) ∩ B(b) = a ^ row(a ^ b), row(d) holding the
+    offsets o of B_radius with |o ^ d| <= radius, V (V - 1) in all.  Rows of
+    one width (it depends only on |d|) form a block (shift, rows) between
+    two rows of the pad 2^(dim+1), which puts a ^ pad past F^dim.  index[d]
+    numbers the rows from 1, block after block, or is 0: no row for d = 0
+    or |d| > 2 radius (a fingerprint collision).  block.take(index[d] -
+    shift, mode "clip") is d's row in its block and a pad row in others."""
+    offs = ball_offsets(dim, radius).astype(np.int64)
+    d = (offs[:, None] ^ offs).ravel()
+    width = np.bincount(d, minlength=1 << dim)
+    width[0] = 0
+    o = np.repeat(offs, len(offs))[np.lexsort((d, -width[d]))].astype(np.int32)  # by row, widest first
+    index = np.zeros(1 << dim, dtype=np.int32)
+    blocks, shift = [], 0
+    for w in sorted(set(width.tolist()) - {0}, reverse=True):
+        rows = np.flatnonzero(width == w)
+        index[rows] = np.arange(shift + 1, shift + len(rows) + 1)
+        pad = np.full((1, w), 2 << dim, dtype=np.int32)
+        blocks.append((shift, np.concatenate((pad, o[:len(rows) * w].reshape(-1, w), pad))))
+        o, shift = o[len(rows) * w:], shift + len(rows)
+    for arr in (index, *(b for _, b in blocks)):
+        arr.flags.writeable = False
+    return index, tuple(blocks)
+
+
 def _marks(k: int) -> np.ndarray:
     """k random odd 64-bit fingerprint marks, one per codeword."""
     return np.random.PCG64(_FP_SEED).random_raw(k) | np.uint64(1)
@@ -339,6 +409,20 @@ def _table_marks(dim: int) -> np.ndarray:
     marks = np.random.PCG64(_TABLE_FP_SEED).random_raw(1 << dim) | np.uint64(1)
     marks.flags.writeable = False
     return marks
+
+
+def _fingerprints(words: np.ndarray, marks: np.ndarray, offs: np.ndarray, n_verts: int) -> np.ndarray:
+    """Each vertex's XOR of the marks of the codewords within its ball: one
+    XOR pass per ball offset, as each column words ^ offset is duplicate-free."""
+    fp = np.zeros(n_verts, dtype=np.uint64)
+    col = np.empty(len(words), dtype=np.intp)  # the index dtype: no cast per scatter
+    hit = np.empty(len(words), dtype=np.uint64)
+    for off in offs:
+        np.bitwise_xor(words, off, out=col)
+        np.take(fp, col, out=hit, mode="clip")  # in range anyway; "clip" skips a buffered check
+        hit ^= marks
+        fp[col] = hit
+    return fp
 
 
 def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
@@ -361,19 +445,12 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
     n_verts = 1 << n
     offs = ball_offsets(n, r)
-    marks = _marks(len(words))
-    fp = np.zeros(n_verts, dtype=np.uint64)
-    col = np.empty(len(words), dtype=np.intp)  # the index dtype: no cast per scatter
-    hit = np.empty(len(words), dtype=np.uint64)
-    for off in offs:
-        np.bitwise_xor(words, off, out=col)
-        np.take(fp, col, out=hit, mode="clip")  # in range anyway; "clip" skips a buffered check
-        hit ^= marks
-        fp[col] = hit
+    fp = _fingerprints(words, _marks(len(words)), offs, n_verts)
     targets = odd_mask(n) if odd_targets else True
     covered = fp != 0
     empty = ~covered & targets  # so far: the targets at fingerprint 0, rechecked exactly
     if empty.any():
+        col = np.empty(len(words), dtype=np.intp)
         for off in offs:
             covered[np.bitwise_xor(words, off, out=col)] = True
         empty &= ~covered

@@ -23,7 +23,7 @@ from idcodes.exact import min_identifying
 from idcodes.extend import extend_c1
 from idcodes.heuristics import greedy_construct, prune
 from idcodes.hypercube import MAX_DIM
-from idcodes.signatures import MAX_EVAL_DIM
+from idcodes.signatures import MAX_EVAL_DIM, MAX_TABLE_DIM
 
 from conftest import random_code, reference_parse, reference_serialize
 
@@ -166,6 +166,31 @@ def _code_texts(draw, bad_tokens):
 
 
 class TestParserMatchesReference:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            " \t\n\r\v\f",  # C whitespace only: no digit to read
+            "\n\n",
+            "5\x1c6\n",  # whitespace to str.split, not to a C parser
+            "5\u00a06\u20287\n",
+            "5 \x1f6",
+            "0" * 22 + "123\n",  # 25 digits, in range
+            "1234567890123456789012345\n",  # 25 digits, past int64
+            "3\n99999999999999999999\n",
+            "3\n3\n",
+        ],
+    )
+    def test_bodies_at_the_edges_of_the_fast_read(self, body):
+        text = f"n=8 r=1\n{body}"
+        try:
+            want = reference_parse(text)
+        except CodeFileError as exc:
+            with pytest.raises(CodeFileError) as got:
+                parse_code_text(text)
+            assert (got.value.line_no, got.value.message) == (exc.line_no, exc.message)
+        else:
+            assert parse_code_text(text) == want
+
     @settings(max_examples=150)
     @given(_code_texts(bad_tokens=0))
     def test_well_formed_files(self, text):
@@ -234,6 +259,12 @@ class TestCliVerify:
         path.write_text(f"n={MAX_EVAL_DIM + 1} r=1\n0\n")
         assert main(["verify", str(path), "--r", "1"]) == 2
         assert f"exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM}" in capsys.readouterr().err
+
+    def test_prune_beyond_table_dim_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"n={MAX_TABLE_DIM + 1} r=1\n0\n1\n")
+        assert main(["prune", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: table dim must be in [1, {MAX_TABLE_DIM}]\n"
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, evaluate, full_space
+from idcodes import Code, evaluate, full_space, heuristics
 from idcodes.codefile import parse_code_text
 from idcodes.heuristics import (
     NoisingParams,
@@ -17,8 +17,8 @@ from idcodes.heuristics import (
     noising_search,
     prune,
 )
-from idcodes.hypercube import ball_size
-from idcodes.signatures import SignatureTable
+from idcodes.hypercube import ball_size, direct_sum
+from idcodes.signatures import MAX_TABLE_DIM, SignatureTable
 
 from conftest import (
     brute_eval,
@@ -248,6 +248,19 @@ class TestPrune:
     def test_rejects_non_identifying_input(self):
         with pytest.raises(ValueError):
             prune(Code.from_words([0, 1], 4), 1)
+
+    def test_rejects_a_dimension_beyond_the_table_before_evaluating(self, monkeypatch):
+        def refuse(code, r):
+            raise AssertionError("evaluated a code the table cannot take")
+
+        monkeypatch.setattr(heuristics, "evaluate", refuse)
+        with pytest.raises(ValueError, match="table dim"):
+            prune(Code.from_words([0, 1], MAX_TABLE_DIM + 1), 1)
+
+    def test_shipped_code_plus_f7_is_already_one_minimal(self):
+        text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
+        big = direct_sum(parse_code_text(text).code, full_space(7))
+        assert len(big) == 14_592 and prune(big, 1) == big
 
     def test_rejects_bad_restarts(self):
         code = greedy_construct(1, 4, seed=0)

@@ -11,6 +11,7 @@ from idcodes import Code, full_space, signatures
 from idcodes.codefile import parse_code_text, read_code_file, write_code_file
 from idcodes.convert import discriminating_report
 from idcodes.extend import extend_c1
+from idcodes.hypercube import ball_offsets
 from idcodes.signatures import (
     MAX_EVAL_DIM,
     MAX_TABLE_DIM,
@@ -673,3 +674,74 @@ class TestTableFingerprints:
                 assert len(set(fps.values())) == len(fps)
         assert merged  # the collisions did bite
 
+
+
+def _partition(table):
+    """Each vertex labelled by the first vertex of its class."""
+    first = {}
+    return [first.setdefault(cid, v) for v, cid in enumerate(table._key_id.tolist())]
+
+
+class TestOnePassTables:
+    """The one-pass table build, the one-pass removal scores and the
+    ball-intersection table against the paths they stand in for."""
+
+    @pytest.mark.parametrize("flat", [None, False, True])  # None: the table's own marks
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_build_equals_sequential_adds(self, flat, data):
+        n = data.draw(st.integers(4 if flat is False else 2, 8), label="n")  # mark(15) is forced
+        r = data.draw(st.integers(1, min(3, n)), label="r")
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                   max_size=min(40, 1 << n), unique=True), label="words")
+        outside = [w for w in range(1 << n) if w not in words]
+        with pytest.MonkeyPatch.context() as mp:
+            if flat is not None:
+                collide_table_marks(mp, flat)
+            built, added = SignatureTable.build(Code.from_words(words, n), r), SignatureTable(n, r)
+            for w in words:
+                added.add(w)
+            for _ in range(2):  # a built table keeps moving as one made by adds
+                for t in (built, added):
+                    assert t.words() == sorted(words) and t.size == len(words)
+                    assert (t.nc, t.ns, t.f) == (added.nc, added.ns, added.f)
+                    assert _partition(t) == _partition(added)
+                    if flat is None:
+                        assert class_counts(t) == Counter(brute_cover_sets(words, n, r).values())
+                        t.check()
+                if not outside:
+                    break
+                for t in (built, added):
+                    t.remove(words[0])
+                    t.add(outside[0])
+                words[0], outside[0] = outside[0], words[0]
+
+    @pytest.mark.parametrize("flat", [None, False, True])
+    def test_remove_delta_all_equals_remove_delta(self, flat, monkeypatch, rng):
+        if flat is not None:
+            collide_table_marks(monkeypatch, flat)
+        for n, r in [(4, 1), (5, 1), (5, 2), (6, 1), (6, 3)]:
+            codes = [Code.from_words([0, 3, 12, 15], n)] + [random_code(rng, n, kmin=2, kmax=20) for _ in range(4)]
+            for code in codes:
+                t = SignatureTable.build(code, r)
+                t.remove(code.words[-1])  # a table with a history, and a free id reused
+                t.add(code.words[-1])
+                got = t.remove_delta_all()
+                assert [int(got[w]) for w in t.words()] == [t.remove_delta(w) for w in t.words()]
+
+    @pytest.mark.parametrize("n,r", [(5, 1), (6, 2), (7, 3)])
+    def test_ball_intersections_read_from_the_table(self, n, r):
+        index, blocks = signatures._meets(n, r)
+        v = len(ball_offsets(n, r))
+        # V (V - 1) offsets, two pad rows per width and a 2^n index: nothing padded to the widest row
+        assert index.shape == (1 << n,)
+        assert sum(b.size - 2 * b.shape[1] for _, b in blocks) == v * (v - 1)
+        a = (1 << n) // 3
+        for d in range(1, 1 << n):
+            row = np.concatenate([b.take(index[d] - shift, axis=0, mode="clip") for shift, b in blocks])
+            s = a ^ row.astype(np.int64)
+            assert (s[s >= 1 << n] >= 2 << n).all()  # pads land past the two thirds _terms returns
+            want = sorted(x for x in range(1 << n) if (x ^ a).bit_count() <= r and (x ^ a ^ d).bit_count() <= r)
+            assert sorted(s[s < 1 << n].tolist()) == want
+        far = (1 << (2 * r + 1)) - 1  # a pair 2r + 1 apart meets in no vertex
+        assert index[far] == 0 and not (np.concatenate([b[0] for _, b in blocks]) < 2 << n).any()
