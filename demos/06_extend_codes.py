@@ -16,9 +16,8 @@ print("base: 1-identifying in F^5, size", len(base))
 # Adding one coordinate: five vertices land in X and one patch vertex
 # covers them all.
 plan = plan_c1(base, 1, 1)
-print("\nplan for p=1:")
-for line in plan.report_lines():
-    print(" ", line)
+print(f"\nplan {plan.construction} for p=1: |X| = {len(plan.x_set)}, "
+      f"|Y| = {len(plan.y_set)}, output radius {plan.out_radius} in F^{plan.out_dim}")
 out = apply_plan(plan)
 print("output size:", len(out), "(verified on return)")
 

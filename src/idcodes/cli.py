@@ -8,15 +8,20 @@ the bounds registry.
 
 Exit codes: 0 success / property holds, 1 property fails or search came
 up empty, 2 usage or parse errors, or a path that cannot be read or
-written.  Every subcommand accepts --json for machine-readable output.
-File writes are atomic, and subcommands refuse to write a code that
-failed verification unless --unchecked is passed.
+written.  Each subcommand builds one report dict: --json prints it as
+JSON, the text form as one ``key value`` line per key (a list of records
+as that line with the record keys, then one row per record).  Without
+--out a built code follows the text as a code file, or goes into the
+JSON under "code".  File writes are atomic; only ``convert --unchecked``
+writes a code that failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -26,83 +31,80 @@ from .hypercube import Code
 from .signatures import diagnose, is_identifying
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
+def _word(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+
+
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    """Print the report: one JSON document, or one line per key in payload order."""
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for key, value in payload.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            print(key, *value[0])
+            for record in value:
+                print(*map(_word, record.values()))
+        else:
+            print(key, *map(_word, value if isinstance(value, list) else [value]))
 
 
-def _bin(word: int, n: int) -> str:
-    return format(word, f"0{n}b")
+def _fail(args: argparse.Namespace, message: str) -> int:
+    _emit(args, {"error": message})
+    return 1
 
 
-def _write_or_print(args: argparse.Namespace, code: Code, radius: int, comments=()) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        codefile.write_code_file(out, code, radius, comments)
-        if not getattr(args, "json", False):
-            print(f"wrote {out} ({len(code)} words, n={code.dim}, r={radius})")
-    else:
-        sys.stdout.write(codefile.serialize_code(code, radius, comments))
+def _finish(args: argparse.Namespace, payload: dict, code: Code, radius: int, comment: str) -> int:
+    """Write the code to --out, or hand it out with the report."""
+    if args.out:
+        codefile.write_code_file(args.out, code, radius, [comment])
+    elif args.json:
+        payload["code"] = list(code.words)
+    _emit(args, payload)
+    if not args.out and not args.json:
+        sys.stdout.write(codefile.serialize_code(code, radius, [comment]))
+    return 0
 
 
 # -- verify ------------------------------------------------------------------
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cf = codefile.read_code_file(args.file)
-    code, n, r = cf.code, cf.code.dim, args.r
+    code, r = codefile.read_code_file(args.file).code, args.r
     if args.discriminating:
         rep = convert.discriminating_report(code, r)
-        holds = rep.discriminating
-        verdict_name = f"{r}-discriminating"
+        holds, prop = rep.discriminating, f"{r}-discriminating"
     else:
         rep = diagnose(code, r)
-        holds = rep.identifying
-        verdict_name = f"{r}-identifying"
-    lines = [
-        f"n {n}",
-        f"r {r}",
-        f"size {len(code)}",
-        f"NC {rep.nc}",
-        f"NS {rep.ns}",
-        f"verdict {'PASS' if holds else 'FAIL'} ({verdict_name})",
-    ]
+        holds, prop = rep.identifying, f"{r}-identifying"
     payload = {
-        "n": n,
+        "n": code.dim,
         "r": r,
         "size": len(code),
         "nc": rep.nc,
         "ns": rep.ns,
-        "property": verdict_name,
+        "property": prop,
         "verdict": "PASS" if holds else "FAIL",
     }
     if not holds:
         if rep.uncovered is not None:
-            w = rep.uncovered
-            lines.append(f"uncovered vertex {w} ({_bin(w, n)})")
-            payload["uncovered"] = w
+            payload["uncovered"] = rep.uncovered
         if rep.unseparated is not None:
-            u, v = rep.unseparated
-            lines.append(f"unseparated pair {u} ({_bin(u, n)}) and {v} ({_bin(v, n)})")
-            payload["unseparated"] = [u, v]
-    _emit(args, payload, lines)
+            payload["unseparated"] = list(rep.unseparated)
+    _emit(args, payload)
     return 0 if holds else 1
 
 
 # -- construct ---------------------------------------------------------------
 
 
-def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict, list[str]]:
+def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict]:
     rho_init = args.rho_init
     if rho_init is None:
         rho_init = heuristics.default_params(args.r, args.size).rho_init
     seeds = [args.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
-    best: heuristics.SearchReport | None = None
-    best_seed = seeds[0]
-    for seed in seeds:
+
+    def run(seed: int) -> tuple[float, int, heuristics.SearchReport]:
         params = heuristics.NoisingParams(
             target_size=args.size,
             rho_init=rho_init,
@@ -112,13 +114,10 @@ def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict, lis
             seed=seed,
         )
         rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
-        better = best is None or (
-            rep.best_code is not None
-            and (best.best_code is None or len(rep.best_code) < len(best.best_code))
-        )
-        if better:
-            best, best_seed = rep, seed
-    lines = [f"seed {best_seed}", *best.to_text().splitlines()]
+        return math.inf if rep.best_code is None else len(rep.best_code), seed, rep
+
+    # the smallest code found, the first seed on a tie
+    _, best_seed, best = min(map(run, seeds), key=lambda result: result[0])
     payload = {
         "method": "noising",
         "seed": best_seed,
@@ -128,31 +127,25 @@ def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict, lis
     }
     if best.best_code is not None:
         payload["size"] = len(best.best_code)
-    return best.best_code, payload, lines
+    return best.best_code, payload
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.method == "noising":
         if args.size is None:
             raise UsageError("--size is required with --method noising")
-        code, payload, lines = _construct_noising(args)
+        code, payload = _construct_noising(args)
         if code is None:
-            _emit(args, payload, lines + ["no identifying code found"])
+            _emit(args, {**payload, "error": "no identifying code found"})
             return 1
     else:
         code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
         if args.prune:
             code = heuristics.prune(code, args.r, restarts=args.restarts, seed=args.seed)
         payload = {"method": "greedy", "seed": args.seed, "size": len(code)}
-        lines = [f"size {len(code)}"]
-    ev = diagnose(code, args.r)
-    if not ev.identifying and not args.unchecked:
-        _emit(args, {"error": "constructed code failed verification"}, ["verification failed"])
-        return 1
-    payload["verified"] = ev.identifying
-    _emit(args, payload, lines)
-    _write_or_print(args, code, args.r, comments=[f"constructed by {args.method}"])
-    return 0
+    # every heuristic verifies its code statically before returning it
+    payload["verified"] = True
+    return _finish(args, payload, code, args.r, f"constructed by {args.method}")
 
 
 # -- extend ------------------------------------------------------------------
@@ -173,28 +166,23 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             plan = extend.plan_c1(cf.code, r1, args.p, args.r2, force=args.force)
         out = extend.apply_plan(plan)
     except extend.VerificationFailed as exc:
-        _emit(args, {"error": str(exc)}, [f"FAIL: {exc}"])
-        return 1
-    lines = plan.report_lines() + [f"output size {len(out)}", "verified PASS"]
+        return _fail(args, str(exc))
     payload = {
         "construction": plan.construction,
+        "base_size": len(plan.base),
+        "p": plan.p,
+        "r2": plan.r2,
+        "k": plan.k,
         "x_size": len(plan.x_set),
         "y_size": len(plan.y_set),
+        "separ_size": None if plan.separ is None else len(plan.separ),
         "out_radius": plan.out_radius,
         "out_dim": plan.out_dim,
         "size": len(out),
         "verified": True,
     }
-    if plan.separ is not None:
-        payload["separ_size"] = len(plan.separ)
-    _emit(args, payload, lines)
-    _write_or_print(
-        args,
-        out,
-        plan.out_radius,
-        comments=[f"extension {plan.construction} from n={cf.code.dim} r={r1} p={plan.p}"],
-    )
-    return 0
+    comment = f"extension {plan.construction} from n={cf.code.dim} r={r1} p={plan.p}"
+    return _finish(args, payload, out, plan.out_radius, comment)
 
 
 # -- prune -------------------------------------------------------------------
@@ -206,13 +194,9 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     try:
         pruned = heuristics.prune(cf.code, r, restarts=args.restarts, seed=args.seed)
     except heuristics.NotIdentifyingError as exc:
-        _emit(args, {"error": str(exc)}, [f"FAIL: {exc}"])
-        return 1
-    lines = [f"size {len(cf.code)} -> {len(pruned)}"]
+        return _fail(args, str(exc))
     payload = {"r": r, "size_before": len(cf.code), "size_after": len(pruned)}
-    _emit(args, payload, lines)
-    _write_or_print(args, pruned, r, comments=["pruned to a 1-minimal code"])
-    return 0
+    return _finish(args, payload, pruned, r, "pruned to a 1-minimal code")
 
 
 # -- convert -----------------------------------------------------------------
@@ -224,8 +208,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     code = cf.code
     if args.to == "discriminating":
         if not args.unchecked and not is_identifying(code, r):
-            _emit(args, {"error": "input code is not identifying"}, ["FAIL: input not identifying"])
-            return 1
+            return _fail(args, "input code is not identifying")
         out = convert.to_discriminating(code)
         ok = args.unchecked or convert.is_discriminating(out, r)
         note = "parity-extended to the even-weight half"
@@ -234,12 +217,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         ok = args.unchecked or is_identifying(out, r)
         note = "coordinate-deleted back to the full space"
     if not ok:
-        _emit(args, {"error": "converted code failed verification"}, ["FAIL: output not verified"])
-        return 1
+        return _fail(args, "converted code failed verification")
     payload = {"to": args.to, "n": out.dim, "r": r, "size": len(out), "verified": not args.unchecked}
-    _emit(args, payload, [f"n {out.dim}", f"size {len(out)}"])
-    _write_or_print(args, out, r, comments=[note])
-    return 0
+    return _finish(args, payload, out, r, note)
 
 
 # -- exact -------------------------------------------------------------------
@@ -247,7 +227,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     outcome = exact.min_identifying(args.r, args.n, budget=args.budget, cap=args.cap)
-    payload = {
+    _emit(args, {
         "r": args.r,
         "n": args.n,
         "minimum": outcome.size,
@@ -255,17 +235,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "start_size": outcome.start_size,
         "infeasible_sizes": list(outcome.infeasible_sizes),
         "code": None if outcome.code is None else list(outcome.code.words),
-    }
+    })
     if outcome.code is None:
-        _emit(args, payload, [f"budget exhausted after {outcome.nodes} nodes"])
         return 1
-    lines = [
-        f"minimum size {outcome.size}",
-        f"nodes {outcome.nodes}",
-        "code " + " ".join(str(w) for w in outcome.code.words),
-    ]
-    _emit(args, payload, lines)
-    if getattr(args, "out", None):
+    if args.out:
         codefile.write_code_file(args.out, outcome.code, args.r, comments=["exact minimum"])
     return 0
 
@@ -276,14 +249,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.check:
         report = bounds_mod.check_consistency()
-        lines = [report.summary()]
-        for c in report.failures:
-            lines.append(f"FAIL {c.name}: {c.detail}")
-        payload = {
-            "checks": len(report.checks),
-            "failures": [{"name": c.name, "detail": c.detail} for c in report.failures],
-        }
-        _emit(args, payload, lines)
+        failures = [{"name": c.name, "detail": c.detail} for c in report.failures]
+        _emit(args, {"checks": len(report.checks), "failures": failures})
         return 0 if report.ok else 1
     if args.compare:
         if args.r is None:
@@ -294,29 +261,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         except KeyError as exc:  # no registry row for (r, n)
             raise ValueError(exc.args[0]) from None
         except ValueError as exc:
-            _emit(args, {"error": str(exc)}, [f"FAIL: {exc}"])
-            return 1
+            return _fail(args, str(exc))
         rec = bounds_mod.lookup(args.r, cf.code.dim)
-        lines = [
-            f"size {len(cf.code)} against bounds {rec.lower}..{rec.upper}: {verdict}",
-        ]
-        payload = {
-            "size": len(cf.code),
-            "lower": rec.lower,
-            "upper": rec.upper,
-            "classification": verdict,
-        }
-        _emit(args, payload, lines)
+        payload = {"size": len(cf.code), "lower": rec.lower, "upper": rec.upper, "classification": verdict}
+        _emit(args, payload)
         return 0
-    table = bounds_mod.load_registry()
-    lines = ["r n lower upper lower_key upper_key"]
-    rows = []
-    for (r, n), rec in sorted(table.items()):
-        lines.append(f"{r} {n} {rec.lower} {rec.upper} {rec.lower_key} {rec.upper_key}")
-        rows.append(
-            {"r": r, "n": n, "lower": rec.lower, "upper": rec.upper, "exact": rec.exact}
-        )
-    _emit(args, {"records": rows}, lines)
+    table = sorted(bounds_mod.load_registry().items())
+    _emit(args, {"records": [{**dataclasses.asdict(rec), "exact": rec.exact} for _, rec in table]})
     return 0
 
 
@@ -355,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-size", type=int, default=None)
     p.add_argument("--prune", action="store_true", help="prune after greedy")
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--unchecked", action="store_true")
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)

@@ -135,19 +135,6 @@ class ExtensionPlan:
         patch = (1 << self.p) - 1 if self.separ is None else len(self.separ)
         return len(self.base) * (1 << self.p) + len(self.y_set) * patch
 
-    def report_lines(self) -> list[str]:
-        lines = [
-            f"construction {self.construction}",
-            f"base size {len(self.base)} dim {self.base.dim} radius {self.r1}",
-            f"p {self.p} r2 {self.r2}" + (f" k {self.k}" if self.k is not None else ""),
-            f"|X| {len(self.x_set)}",
-            f"|Y| {len(self.y_set)}",
-        ]
-        if self.separ is not None:
-            lines.append(f"|separating factor| {len(self.separ)}")
-        lines.append(f"output radius {self.out_radius} dim {self.out_dim}")
-        return lines
-
 
 def _check_ranges(r1: int, p: int, r2: int, k: int | None, force: bool) -> None:
     if r1 < 1 or p < 1 or r2 < 0:

@@ -87,17 +87,6 @@ class SearchReport:
         if (self.best_f == 0) != (self.best_code is not None):
             raise ValueError("best_f = 0 exactly when a code was found")
 
-    def to_text(self) -> str:
-        lines = [
-            f"best_f {self.best_f}",
-            f"iterations {self.iterations_used}",
-        ]
-        if self.best_code is not None:
-            lines.insert(0, f"best_size {len(self.best_code)}")
-        for size, it in self.sizes_achieved:
-            lines.append(f"found size {size} at iteration {it}")
-        return "\n".join(lines)
-
 
 class NotIdentifyingError(ValueError):
     """The code given to ``prune`` is not identifying at its radius."""

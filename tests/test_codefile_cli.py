@@ -225,15 +225,15 @@ def bad_code(tmp_path):
 class TestCliVerify:
     def test_pass(self, code_74, capsys):
         assert main(["verify", code_74, "--r", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict PASS (1-identifying)" in out
-        assert "NC 0" in out and "NS 0" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict PASS" in lines and "property 1-identifying" in lines
+        assert "nc 0" in lines and "ns 0" in lines
 
     def test_fail_prints_witness(self, bad_code, capsys):
         assert main(["verify", bad_code, "--r", "1"]) == 1
-        out = capsys.readouterr().out
-        assert "verdict FAIL" in out
-        assert "unseparated pair" in out or "uncovered vertex" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict FAIL" in lines
+        assert any(line.startswith(("unseparated ", "uncovered ")) for line in lines)
 
     def test_json_payload(self, code_74, capsys):
         assert main(["verify", code_74, "--r", "1", "--json"]) == 0
@@ -378,9 +378,9 @@ class TestCliExtend:
         out = tmp_path / "ext.txt"
         rc = main(["extend", code_74, "--p", "2", "--out", str(out)])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "construction C1" in stdout
-        assert "verified PASS" in stdout
+        lines = capsys.readouterr().out.splitlines()
+        assert "construction C1" in lines
+        assert "verified true" in lines
         cf = read_code_file(out)
         assert cf.code.dim == 6
         assert len(cf.code) == 28
@@ -400,7 +400,7 @@ class TestCliExtend:
         out = tmp_path / "ext.txt"
         rc = main(["extend", bad_code, "--p", "1", "--out", str(out)])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("error base code is not 1-identifying")
         assert not out.exists()
 
     def test_bad_ranges_are_usage_errors(self, code_74, tmp_path, capsys):
@@ -420,7 +420,9 @@ class TestCliPruneConvert:
         out = tmp_path / "pruned.txt"
         rc = main(["prune", str(src), "--out", str(out), "--restarts", "4"])
         assert rc == 0
-        assert "->" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert f"size_before {len(padded)}" in lines
+        assert f"size_after {len(read_code_file(out).code)}" in lines
         assert len(read_code_file(out).code) <= len(padded)
 
     def test_prune_rejects_invalid_input(self, bad_code, capsys):
@@ -462,7 +464,9 @@ class TestCliExactAndBounds:
 
     def test_exact_budget_exhaustion(self, capsys):
         assert main(["exact", "--r", "1", "--n", "5", "--budget", "3"]) == 1
-        assert "budget exhausted" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "minimum null" in lines and "code null" in lines
+        assert "nodes 4" in lines
 
     def test_exact_negative_budget_is_an_error(self, capsys):
         assert main(["exact", "--r", "1", "--n", "5", "--budget", "-3"]) == 2
@@ -493,7 +497,9 @@ class TestCliExactAndBounds:
 
     def test_bounds_check(self, capsys):
         assert main(["bounds", "--check"]) == 0
-        assert "0 failures" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("checks ")
+        assert lines[1:] == ["failures"]  # an empty list of records: no rows
 
     def test_bounds_table_dump(self, capsys):
         assert main(["bounds"]) == 0
@@ -524,6 +530,87 @@ class TestCliExactAndBounds:
         monkeypatch.setattr(cli.exact, "min_identifying", broken)
         with pytest.raises(KeyError, match="internal"):
             main(["exact", "--r", "1", "--n", "4"])
+
+
+def _text_of(key, value, header):
+    """The text lines of one payload key: ``key value``, a list's items
+    after the key, a list of records as the key and ``header`` (its record
+    keys, in the text's order) and one row per record; strings bare, other
+    values as compact JSON."""
+    word = lambda v: v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        assert sorted(header) == sorted(value[0])
+        rows = [" ".join(word(rec[k]) for k in header) for rec in value]
+        return [" ".join([key, *header])] + rows
+    if isinstance(value, list):
+        return [" ".join([key, *map(word, value)])]
+    return [f"{key} {word(value)}"]
+
+
+_REPORTS = {
+    "verify pass": (0, "verify {code} --r 1"),
+    "verify fail": (1, "verify {bad} --r 1"),
+    "verify discriminating": (0, "verify {disc} --r 1 --discriminating"),
+    "construct greedy": (0, "construct --method greedy --r 1 --n 5 --prune --out {out}"),
+    "construct noising": (0, "construct --method noising --r 1 --n 4 --size 9 "
+                             "--max-iterations 3000 --stop-size 8 --out {out}"),
+    "construct noising, nothing found": (1, "construct --method noising --r 1 --n 3 --size 2 "
+                                            "--max-iterations 40"),
+    "extend C1": (0, "extend {code} --p 2 --out {out}"),
+    "extend C2": (0, "extend {base36} --p 3 --k 1 --out {out}"),
+    "prune": (0, "prune {code} --out {out}"),
+    "convert": (0, "convert {code} --to discriminating --out {out}"),
+    "exact": (0, "exact --r 1 --n 4"),
+    "exact out of budget": (1, "exact --r 1 --n 5 --budget 3"),
+    "bounds": (0, "bounds"),
+    "bounds check": (0, "bounds --check"),
+    "bounds compare": (0, "bounds --compare {code} --r 1"),
+    "extend error": (1, "extend {bad} --p 1 --out {out}"),
+}
+
+
+class TestTextIsThePayload:
+    """Every report is one dict: the text form is its ``key value`` rendering."""
+
+    @pytest.mark.parametrize("case", list(_REPORTS))
+    def test_text_lines_render_the_json_payload(self, case, code_74, bad_code, tmp_path, capsys):
+        from idcodes.convert import to_discriminating
+
+        write_code_file(tmp_path / "disc.txt", to_discriminating(min_identifying(1, 4).code), 1)
+        write_code_file(tmp_path / "b36.txt", greedy_construct(3, 6, seed=0), 3)
+        rc, line = _REPORTS[case]
+        argv = line.format(code=code_74, bad=bad_code, disc=tmp_path / "disc.txt",
+                           base36=tmp_path / "b36.txt", out=tmp_path / "out.txt").split()
+        assert main(argv + ["--json"]) == rc
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == rc
+        lines = capsys.readouterr().out.splitlines()
+        seen = []
+        while lines:
+            key, *header = lines[0].split(" ")
+            want = _text_of(key, payload[key], header)
+            assert lines[:len(want)] == want
+            del lines[:len(want)]
+            seen.append(key)
+        assert sorted(seen) == sorted(payload)  # every key once, nothing else
+
+    @pytest.mark.parametrize("line", [
+        "construct --method greedy --r 1 --n 4",
+        "extend {code} --p 1",  # --out is required here
+        "prune {code}",
+        "convert {code} --to discriminating",
+    ])
+    def test_json_is_one_document(self, line, code_74, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        argv = line.format(code=code_74).split()
+        if argv[0] == "extend":
+            argv += ["--out", str(out)]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)  # the whole stdout
+        if argv[0] != "extend":
+            # the code sits in the payload, the words --out would write
+            assert main(argv + ["--out", str(out)]) == 0
+            assert payload["code"] == list(read_code_file(out).code.words)
 
 
 class ClosedPipe(io.StringIO):

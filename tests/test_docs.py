@@ -1,9 +1,9 @@
-"""The documentation runs: every demo script, and the README quickstart.
+"""The documentation runs: every demo script, and both README quickstarts.
 
 A name removed from the package cannot silently break the docs.  Each
 ``print`` line of the README's Python quickstart carries its expected
 output as a ``#`` comment; a comment ending in ``...`` is matched only up
-to the ellipsis.
+to the ellipsis.  Each line of the CLI quickstart must exit 0.
 """
 
 import contextlib
@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from idcodes import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,3 +48,13 @@ def test_readme_quickstart_output():
             assert got.startswith(want.split("...")[0]), (got, want)
         else:
             assert got == want
+
+
+def test_readme_cli_quickstart_exits_zero(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quickstart \(CLI\)\n\n```\n(.*?)```", readme, re.S).group(1)
+    commands = [line.split() for line in block.splitlines()]
+    assert commands and all(argv[0] == "idcodes" for argv in commands)
+    monkeypatch.chdir(tmp_path)  # the commands write and read files by relative path
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr())

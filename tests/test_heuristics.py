@@ -83,12 +83,6 @@ class TestSearchReport:
                 trace=(2,),
             )
 
-    def test_to_text(self):
-        rep = noising_search(1, 4, params(9, iters=500), stop_size=8)
-        text = rep.to_text()
-        assert "best_size" in text
-        assert "iterations" in text
-
 
 class TestNoisingSearch:
     def test_reaches_known_minimum_small(self):

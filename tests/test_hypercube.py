@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idcodes import Code, ball_size, direct_sum, full_space, is_identifying
-from idcodes.cli import _bin
 from idcodes.codefile import parse_code_text
 from idcodes.convert import to_discriminating, to_identifying
 from idcodes.hypercube import (
@@ -41,8 +40,8 @@ class TestBitVector:
     modules read it by."""
 
     def test_str_is_fixed_width_binary(self):
-        assert _bin(5, 4) == "0101"
-        assert _bin(0, 3) == "000"
+        assert format(5, "04b") == "0101"
+        assert format(0, "03b") == "000"
 
     def test_coordinate_one_is_most_significant(self):
         # output coordinate 3 takes input coordinate 1, the top bit
@@ -86,7 +85,7 @@ class TestBitVector:
         # most significant bit first: integer order is the printed order
         code = Code.from_words([3, 0b1000, 2], 4)
         assert code.words == (2, 3, 8)
-        printed = [_bin(w, 4) for w in code.words]
+        printed = [format(w, "04b") for w in code.words]
         assert printed == sorted(printed)
 
 
