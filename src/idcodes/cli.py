@@ -11,9 +11,10 @@ up empty, 2 usage or parse errors, or a path that cannot be read or
 written.  Each subcommand builds one report dict: --json prints it as
 JSON, the text form as one ``key value`` line per key (a list of records
 as that line with the record keys, then one row per record).  Without
---out a built code follows the text as a code file, or goes into the
-JSON under "code".  File writes are atomic; only ``convert --unchecked``
-writes a code that failed verification.
+--out a built code goes into the JSON under "code", or prints as a code
+file whose comment lines are the text report, so stdout reads back as a
+code.  File writes are atomic; only ``convert --unchecked`` writes a code
+that failed verification.
 """
 
 from __future__ import annotations
@@ -35,18 +36,20 @@ def _word(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    """Print the report: one JSON document, or one line per key in payload order."""
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return
+def _lines(payload: dict):
+    """The text report: one line per key in payload order."""
     for key, value in payload.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            print(key, *value[0])
+            yield " ".join([key, *value[0]])
             for record in value:
-                print(*map(_word, record.values()))
+                yield " ".join(map(_word, record.values()))
         else:
-            print(key, *map(_word, value if isinstance(value, list) else [value]))
+            yield " ".join([key, *map(_word, value if isinstance(value, list) else [value])])
+
+
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    """Print the report: one JSON document, or its text lines."""
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(_lines(payload)))
 
 
 def _fail(args: argparse.Namespace, message: str) -> int:
@@ -55,14 +58,16 @@ def _fail(args: argparse.Namespace, message: str) -> int:
 
 
 def _finish(args: argparse.Namespace, payload: dict, code: Code, radius: int, comment: str) -> int:
-    """Write the code to --out, or hand it out with the report."""
+    """Write the code to --out, or hand it out: in the JSON, or as a code file
+    whose comments are the text report."""
     if args.out:
         codefile.write_code_file(args.out, code, radius, [comment])
     elif args.json:
         payload["code"] = list(code.words)
+    else:
+        sys.stdout.write(codefile.serialize_code(code, radius, [comment, *_lines(payload)]))
+        return 0
     _emit(args, payload)
-    if not args.out and not args.json:
-        sys.stdout.write(codefile.serialize_code(code, radius, [comment]))
     return 0
 
 

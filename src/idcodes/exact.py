@@ -9,11 +9,15 @@ Finds minimum codes for three target properties over F^n:
 The search fixes 0^n as a codeword (any solution translates onto one that
 contains it), walks candidate words in increasing order, and ascends
 candidate sizes so the first feasible size is the minimum.  Partial codes
-carry the current partition of vertices into cover-set classes, as vertex
-bitmasks; a branch dies as soon as some class can no longer be split into
-small enough pieces, some vertex can no longer be covered, or some pair
-has no remaining separator.  Each child is counted, then checked cheapest
-rule first in its parent's loop before its classes are kept.
+carry the current partition of vertices into cover-set classes, each a
+record (mask, size, sep): a vertex bitmask, its popcount, and the highest
+candidate index whose ball splits its two lowest members.  A branch dies
+as soon as some class can no longer be split into small enough pieces,
+some vertex can no longer be covered, or some pair has no remaining
+separator.  Each child is counted, then checked cheapest rule first in its
+parent's loop; a class its ball leaves whole is re-checked with two
+compares, and the children past the least sep, which all fail, are
+counted without a visit.
 
 Coordinate permutations fix 0^n and map codes of each kind onto codes of
 the same kind.  So by default, at every n, a partial code with at most
@@ -42,9 +46,9 @@ from .signatures import evaluate
 # 31 MB above the interpreter's footprint (60 MB RSS), the table included.
 MAX_EXACT_DIM = 8
 # Partial codes are tested for lex-leadership while they have at most this
-# many words besides 0^n.  Timed on the bench's exact cells, depth 3 has
-# the least total time: depth 2 walks 1.7 times its nodes, and at depth 4
-# or 5 the extra tests cost more than the nodes they prune.
+# many words besides 0^n.  Bench `exact` wall_s read 0.41-0.42 s at depth 2
+# (1.7 times the nodes, more of them counted unvisited), 0.40-0.43 s at 3
+# and 0.49-0.53 s at 4, where the extra tests cost more than they prune.
 _CANONICAL_DEPTH = 3
 
 
@@ -137,8 +141,8 @@ class _Searcher:
             ref = ref << self.n | w
         return not (packed < ref).any()
 
-    def _dfs(self, lo: int, hi: int, words: tuple[int, ...], classes: list[int],
-             uncov: int, remaining: int):
+    def _dfs(self, lo: int, hi: int, words: tuple[int, ...],
+             classes: list[tuple[int, int, int]], uncov: int, remaining: int):
         """Try candidates lo..hi-1 as the next word; return the first code.
 
         Each child is counted, then decided here, cheapest rule first, and
@@ -151,56 +155,72 @@ class _Searcher:
         # uncovered vertices need distinct cover sets, nonempty unless one
         # may stay uncovered, and each word covers at most vol of them
         most = limit if self.allow_one_uncovered else min(limit - 1, remaining * self.vol)
-        cover = self.covermask
+        ballmask, suffix, reach, cands, cover = (
+            self.ballmask, self.suffix, self.reach, self.cands, self.covermask)
         budget = self.budget
         lex = self.images is not None and len(words) <= _CANONICAL_DEPTH
-        for j in range(lo, hi):
-            if lex and not self._canonical(words + (self.cands[j],)):
+        end = hi  # children past the least sep fail the split: counted, not visited
+        if classes and not lex:
+            end = min(hi, 1 + min(cls[2] for cls in classes))  # each sep >= lo
+        for j in range(lo, end):
+            if lex and not self._canonical(words + (cands[j],)):
                 continue
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 raise BudgetExhausted
-            ball = self.ballmask[j]
+            ball = ballmask[j]
             left = uncov & ~ball  # 1. the uncovered count
             if left.bit_count() > most:
                 continue
-            rmask = self.suffix[j + 1]  # 2. the class split
-            kids = self._split(classes, uncov & ball, ball, limit, rmask)
+            kids = self._split(classes, uncov & ball, ball, limit, j)  # 2. the class split
             if kids is None:
                 continue
             if remaining == 0:  # 3. the leaf test
-                return words + (self.cands[j],)
+                return words + (cands[j],)
             if left:  # 4. no uncovered vertex out of reach (for separating
                 # codes, at most one), and the first two still separable
-                if (left & ~self.reach[j + 1]).bit_count() > self.allow_one_uncovered:
+                if (left & ~reach[j + 1]).bit_count() > self.allow_one_uncovered:
                     continue
                 rest = left & (left - 1)
-                u = (left & -left).bit_length() - 1
-                if rest and (cover[u] ^ cover[(rest & -rest).bit_length() - 1]) & rmask == 0:
+                u, v = (left & -left).bit_length() - 1, (rest & -rest).bit_length() - 1
+                if rest and (cover[u] ^ cover[v]) & suffix[j + 1] == 0:
                     continue
-            hit = self._dfs(j + 1, len(self.cands) - remaining + 1,
-                            words + (self.cands[j],), kids, left, remaining)
+            hit = self._dfs(j + 1, len(cands) - remaining + 1,
+                            words + (cands[j],), kids, left, remaining)
             if hit is not None:
                 return hit
+        self.nodes += hi - end
+        if budget is not None and self.nodes > budget:
+            self.nodes = budget + 1
+            raise BudgetExhausted
         return None
 
-    def _split(self, classes: list[int], fresh: int, ball: int, limit: int,
-               rmask: int) -> list[int] | None:
-        """Each class cut by the ball, plus the freshly covered vertices; None
-        at the first piece too big for limit or with no separator in rmask."""
+    def _split(self, classes: list[tuple[int, int, int]], fresh: int, ball: int, limit: int,
+               j: int) -> list[tuple[int, int, int]] | None:
+        """Each class cut by candidate j's ball, plus the freshly covered
+        vertices; None at the first class bigger than limit or with sep <= j,
+        none of candidates j+1, ... splitting its two lowest members.  A class
+        the ball leaves whole passes on as the same record."""
         cover = self.covermask
-        kids = []
-        for c in (*classes, fresh):
+        kids, cut = [], [fresh]
+        for cls in classes:
+            c, size, sep = cls
             a = c & ball
-            for piece in (a, c ^ a):
-                rest = piece & (piece - 1)
-                if rest:
-                    if piece.bit_count() > limit:
-                        return None
-                    u = (piece & -piece).bit_length() - 1
-                    if (cover[u] ^ cover[(rest & -rest).bit_length() - 1]) & rmask == 0:
-                        return None
-                    kids.append(piece)
+            if a == 0 or a == c:
+                if size > limit or sep <= j:
+                    return None
+                kids.append(cls)
+            else:
+                cut += (a, c ^ a)
+        for piece in cut:
+            rest = piece & (piece - 1)
+            if rest:
+                size = piece.bit_count()
+                sep = (cover[(piece & -piece).bit_length() - 1]
+                       ^ cover[(rest & -rest).bit_length() - 1]).bit_length() - 1
+                if size > limit or sep <= j:
+                    return None
+                kids.append((piece, size, sep))
         return kids
 
     def search_size(self, size: int):

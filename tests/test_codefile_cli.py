@@ -612,6 +612,29 @@ class TestTextIsThePayload:
             assert main(argv + ["--out", str(out)]) == 0
             assert payload["code"] == list(read_code_file(out).code.words)
 
+    @pytest.mark.parametrize("line,check", [
+        ("construct --method greedy --r 1 --n 4", "--r 1"),
+        ("prune {code}", "--r 1"),
+        ("convert {code} --to discriminating", "--r 1 --discriminating"),
+    ])
+    def test_text_stdout_is_a_code_file(self, line, check, code_74, tmp_path, capsys):
+        # the redirect `idcodes construct ... > g.txt` must read back as a code
+        argv = line.format(code=code_74).split()
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        words = payload.pop("code")
+        assert main(argv) == 0
+        saved = tmp_path / "saved.txt"
+        saved.write_text(capsys.readouterr().out)
+        assert list(read_code_file(saved).code.words) == words
+        assert main(["verify", str(saved), *check.split()]) == 0
+        capsys.readouterr()
+        # after the provenance comment, the comments are the text report
+        # (in payload order; the JSON sorts its keys)
+        comments = [ln[2:] for ln in saved.read_text().splitlines() if ln.startswith("# ")][1:]
+        assert sorted(comments) == sorted(text for key, value in payload.items()
+                                          for text in _text_of(key, value, []))
+
 
 class ClosedPipe(io.StringIO):
     def write(self, text):

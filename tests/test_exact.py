@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from idcodes.exact import (
     min_identifying,
     min_separating,
 )
-from idcodes.hypercube import permute_words
+from idcodes.hypercube import ball_offsets, permute_words
 
 from conftest import ReferenceSearcher, oracle_eval, random_code, reference_canonical
 
@@ -379,6 +380,29 @@ class TestTheorem:
         assert evaluate(back, r).f == 0
 
 
+class TestPartnerRadius:
+    # for r < r' = n - r - 1, B_r'(x) is the complement of B_r(x^1...1): an
+    # r-identifying code is r'-identifying unless one B_r(y) holds all of
+    # it, and an r'-identifying code plus one word is r-identifying
+    @pytest.mark.parametrize("n,r,partner", [(4, 1, 2), (5, 1, 3)])
+    def test_minima_differ_by_at_most_one(self, n, r, partner):
+        m_r = min_identifying(r, n, start_size=1)
+        m_partner = min_identifying(partner, n, start_size=1)
+        assert m_r.minimal and m_partner.minimal
+        assert m_partner.size <= m_r.size <= m_partner.size + 1
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_partner_ball_is_a_complement(self, data):
+        n = data.draw(st.integers(3, 9), label="n")
+        r = data.draw(st.integers(0, (n - 2) // 2), label="r")
+        code = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+        x = data.draw(st.integers(0, (1 << n) - 1), label="x")
+        ball = set((ball_offsets(n, n - r - 1) ^ x).tolist())
+        antiball = set((ball_offsets(n, r) ^ (x ^ ((1 << n) - 1))).tolist())
+        assert code & ball == code - (code & antiball)
+
+
 class TestGoldenOutcomes:
     # whole outcomes, recorded before the search loop was restructured:
     # canonical pruning off at n = 4 and at n = 6, and an open budgeted run
@@ -422,6 +446,31 @@ class TestReferenceSearch:
         got = search(*args, **kwargs)
         monkeypatch.setattr(exact, "_Searcher", ReferenceSearcher)
         assert got == search(*args, **kwargs)
+
+    @given(data=st.data())
+    @settings(max_examples=120)
+    def test_random_outcome_matches_reference(self, data):
+        kind = data.draw(st.sampled_from(["identifying", "separating", "discriminating"]))
+        if kind == "identifying":
+            n = data.draw(st.integers(2, 5), label="n")
+            r = data.draw(st.integers(1, n - 1), label="r")
+            search, args = min_identifying, (r, n)
+            kwargs = {"start_size": data.draw(st.integers(1, 1 << (n - 1)), label="start_size")}
+        elif kind == "separating":
+            n = data.draw(st.integers(2, 5), label="p")
+            search, args, kwargs = min_separating, (n, data.draw(st.integers(0, n - 1), label="k")), {}
+        else:
+            n = data.draw(st.integers(3, 6), label="n")
+            r = data.draw(st.sampled_from(range(1, n - 1, 2)), label="r")
+            search, args = min_discriminating, (r, n)
+            kwargs = {"start_size": data.draw(st.integers(1, 1 << (n - 2)), label="start_size")}
+        kwargs["canonical"] = data.draw(st.booleans(), label="canonical")
+        # a budget at n >= 5, so that no case runs (5,4) or n = 6 to the end
+        most = st.integers(0, 3000)
+        kwargs["budget"] = data.draw(most if n >= 5 else st.none() | most, label="budget")
+        got = search(*args, **kwargs)
+        with mock.patch.object(exact, "_Searcher", ReferenceSearcher):
+            assert got == search(*args, **kwargs)
 
 
 class TestOutcomeShape:
