@@ -16,15 +16,18 @@ as soon as some class can no longer be split into small enough pieces,
 some vertex can no longer be covered, or some pair has no remaining
 separator.  Each child is counted, then checked cheapest rule first in its
 parent's loop; a class its ball leaves whole is re-checked with two
-compares, and the children past the least sep, which all fail, are
-counted without a visit.
+compares.  Children that all fail are counted without a visit: those past
+the least sep, or all of them when more vertices are uncovered than one
+ball could bring down to what the remaining words may leave.
 
 Coordinate permutations fix 0^n and map codes of each kind onto codes of
 the same kind.  So by default, at every n, a partial code with at most
 _CANONICAL_DEPTH words besides 0^n is kept only if it is a lex-leader: no
 permutation maps it onto a set with a smaller increasing listing.  One
-numpy pass checks all n! - 1 permutations, reading the words' images from
-a table of one byte per image.  canonical=False turns this off.
+numpy pass checks all n! - 1 permutations: it reads the words' images from
+a table of one byte per image and sorts them per permutation with a min/max
+network.  A search keeps its verdicts, at most Σ_{k <= _CANONICAL_DEPTH}
+C(m - 1, k) for m candidates (41,727 at m = 64).  canonical=False: no test.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from .signatures import evaluate
 # 31 MB above the interpreter's footprint (60 MB RSS), the table included.
 MAX_EXACT_DIM = 8
 # Partial codes are tested for lex-leadership while they have at most this
-# many words besides 0^n.  Bench `exact` wall_s read 0.41-0.42 s at depth 2
-# (1.7 times the nodes, more of them counted unvisited), 0.40-0.43 s at 3
-# and 0.49-0.53 s at 4, where the extra tests cost more than they prune.
+# many words besides 0^n.  With each verdict kept per search, bench `exact`
+# wall_s read 0.35-0.36 s at depth 2 (1.7 times the nodes), 0.28-0.31 s at 3
+# and 0.32 s at 4, where the extra tests still cost more than they prune.
 _CANONICAL_DEPTH = 3
 
 
@@ -117,7 +120,7 @@ class _Searcher:
         # reach[i]: the target vertices candidates i, i+1, ... still cover
         reach = itertools.accumulate(reversed(self.ballmask), int.__or__, initial=0)
         self.reach = list(reach)[::-1]
-        self.images = None
+        self.images, self.verdicts = None, {}  # words -> _canonical(words)
         if canonical:
             others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
             perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
@@ -131,15 +134,23 @@ class _Searcher:
     def _canonical(self, words: tuple[int, ...]) -> bool:
         """True iff no permutation maps the increasing words onto a set with a
         smaller increasing listing.  Every permutation fixes words[0] = 0^n;
-        the other images are sorted per permutation (one column each) and
-        packed n bits a word, first word highest, so integer order is list
-        order."""
-        img = np.sort(self.images[list(words[1:])], axis=0)
+        the other images are sorted per permutation (one column each) by an
+        insertion min/max network, packed n bits a word, first word highest,
+        so integer order is list order.  Each size re-tests the same short
+        prefixes, so every verdict is kept for the rest of the search."""
+        if words in self.verdicts:
+            return self.verdicts[words]
+        rows = [self.images[w] for w in words[1:]]
+        for i in range(1, len(rows)):
+            for j in range(i, 0, -1):
+                a, b = rows[j - 1], rows[j]
+                rows[j - 1], rows[j] = np.minimum(a, b), np.maximum(a, b)
         packed, ref = np.zeros(self.images.shape[1], dtype=np.int64), 0
-        for row, w in zip(img, words[1:]):
+        for row, w in zip(rows, words[1:]):
             packed = packed << self.n | row
             ref = ref << self.n | w
-        return not (packed < ref).any()
+        verdict = self.verdicts[words] = not (packed < ref).any()
+        return verdict
 
     def _dfs(self, lo: int, hi: int, words: tuple[int, ...],
              classes: list[tuple[int, int, int]], uncov: int, remaining: int):
@@ -159,8 +170,11 @@ class _Searcher:
             self.ballmask, self.suffix, self.reach, self.cands, self.covermask)
         budget = self.budget
         lex = self.images is not None and len(words) <= _CANONICAL_DEPTH
-        end = hi  # children past the least sep fail the split: counted, not visited
-        if classes and not lex:
+        end = hi  # counted, not visited: every child if uncov exceeds most by more
+        # than the vol targets one ball covers, else the children past the least sep
+        if not lex and uncov.bit_count() - most > self.vol:
+            end = lo
+        elif classes and not lex:
             end = min(hi, 1 + min(cls[2] for cls in classes))  # each sep >= lo
         for j in range(lo, end):
             if lex and not self._canonical(words + (cands[j],)):

@@ -312,6 +312,20 @@ class TestCanonicalPruning:
         assert (got.size, got.nodes, got.infeasible_sizes) == (10, nodes, tuple(range(1, 10)))
         assert tuple(got.code.words) == words
 
+    @pytest.mark.parametrize(
+        "r,kwargs,size,nodes,infeasible,words",
+        [
+            (3, {}, 7, 43, tuple(range(1, 7)), (0, 15, 51, 60, 85, 90, 102)),
+            (1, {"budget": 20_000}, None, 20_001, tuple(range(1, 11)), None),
+        ],
+    )
+    def test_n7_discriminating_outcome(self, r, kwargs, size, nodes, infeasible, words):
+        # recorded with np.sort before the min/max network: the lex-leader
+        # test over 5,039 permutations must keep every decision
+        got = min_discriminating(r, 7, cap=7, **kwargs)
+        assert (got.size, got.nodes, got.infeasible_sizes) == (size, nodes, infeasible)
+        assert (None if got.code is None else tuple(got.code.words)) == words
+
     @pytest.mark.parametrize("r", [1, 3])
     def test_n6_discriminating_without_pruning_agrees(self, r):
         on = min_discriminating(r, 6)
@@ -328,6 +342,9 @@ class TestCanonicalPruning:
         rest = data.draw(st.sets(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
         words = (0, *sorted(rest))
         assert _lex_searcher(n)._canonical(words) == reference_canonical(words, n)
+        # the searcher is shared and keeps its verdicts: recompute this one
+        del _lex_searcher(n).verdicts[words]
+        assert _lex_searcher(n)._canonical(words) == reference_canonical(words, n)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_numpy_check_matches_loop_on_every_small_code(self, n):
@@ -339,6 +356,8 @@ class TestCanonicalPruning:
                 verdict = searcher._canonical(words)
                 assert verdict == reference_canonical(words, n), words
                 leaders += verdict
+                del searcher.verdicts[words]  # the uncached verdict too
+                assert searcher._canonical(words) == verdict, words
         assert leaders > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -471,6 +490,16 @@ class TestReferenceSearch:
         got = search(*args, **kwargs)
         with mock.patch.object(exact, "_Searcher", ReferenceSearcher):
             assert got == search(*args, **kwargs)
+
+    @given(budget=st.integers(0, 12_000))
+    @settings(max_examples=30)
+    def test_budget_stop_inside_counted_children(self, budget):
+        # from the registry's 18, many (1,6) nodes leave more vertices
+        # uncovered than one ball can rescue; their children are counted at
+        # once, and the budget may stop the search inside such a run
+        got = min_identifying(1, 6, cap=6, budget=budget)
+        with mock.patch.object(exact, "_Searcher", ReferenceSearcher):
+            assert got == min_identifying(1, 6, cap=6, budget=budget)
 
 
 class TestOutcomeShape:
