@@ -139,6 +139,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.method == "noising":
         if args.size is None:
             raise UsageError("--size is required with --method noising")
+        cell = bounds_mod.load_registry().get((args.r, args.n))
+        if cell and args.stop_size is not None and 1 <= args.stop_size < cell.lower:
+            raise UsageError(f"--stop-size {args.stop_size} is below the lower bound {cell.lower} at r={args.r}, "
+                             f"n={args.n}: no identifying code is that small, so the search cannot stop early")
         code, payload = _construct_noising(args)
         if code is None:
             _emit(args, {**payload, "error": "no identifying code found"})
@@ -308,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-steps", type=int, default=100)
     p.add_argument("--sweeps-per-rho", type=int, default=1)
     p.add_argument("--max-iterations", type=int, default=2_000_000)
-    p.add_argument("--stop-size", type=int, default=None)
+    p.add_argument("--stop-size", type=int, default=None, help="return once a code this small is found")
     p.add_argument("--prune", action="store_true", help="prune after greedy")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--out")

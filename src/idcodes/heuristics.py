@@ -125,11 +125,10 @@ class _NoisingRun:
         # R uniform on the open interval (0,1): resample any exact zeros
         # so ln(R) stays finite.
         u = self.rng.random(size)
-        while True:
+        while not u.all():
             zeros = u == 0.0
-            if not zeros.any():
-                return np.log(u)
             u[zeros] = self.rng.random(int(zeros.sum()))
+        return np.log(u, out=u)
 
     def _record_and_shrink(self) -> None:
         """Current code is identifying: record it, then drop one codeword."""
@@ -154,13 +153,15 @@ class _NoisingRun:
         word = self.order[i]
         totals = table.swap_deltas(word)
         np.putmask(totals, table.word_mask, _NEVER)  # a fresh vector: mask the codewords in place
-        s0 = int(np.argmin(totals))
+        s0 = int(totals.argmin())
         self.iterations += 1
         if totals[s0] >= 0:
             if rho <= 0.0:
                 return  # zero noise and no improving swap: nothing can be accepted
-            noisy = totals + rho * self._ln_uniform(1 << self.n)
-            s0 = int(np.argmin(noisy))
+            noisy = self._ln_uniform(1 << self.n)
+            noisy *= rho
+            noisy += totals  # the bits of totals + rho * ln(R): IEEE addition commutes
+            s0 = int(noisy.argmin())
             if noisy[s0] >= 0.0:
                 return  # rejected: the table was never touched
         table.remove(word)

@@ -96,7 +96,7 @@ class SignatureTable:
     classes are the vertices grouped by the fingerprint of their exact
     cover set, which is how ``build`` makes them in one pass.  ``check``
     recounts exactly.  Membership is ``word_mask`` and ``size``.  Mutate
-    from one thread at a time.
+    or score from one thread at a time (scores share a scratch array).
     """
 
     def __init__(self, dim: int, radius: int) -> None:
@@ -118,7 +118,7 @@ class SignatureTable:
         self._word_mask = np.zeros(n_verts, dtype=bool)
         self.word_mask = self._word_mask.view()  # read-only, True at the codewords
         self.word_mask.flags.writeable = False
-        self._delta = None  # (T0, P) per candidate word, from the first score on
+        self._delta = self._slot = None  # (T0, P) per candidate word and _terms' scratch, from the first score on
         self._scores = None  # (add_delta_all, 2 T0 - nc - 1), until a mutation
         self._removing = None  # the last _removal, until a mutation
 
@@ -177,21 +177,23 @@ class SignatureTable:
         freed: a collision can make one a target, and no target is empty."""
         self._scores = self._removing = None
         ball, inv, old, moved, fps, new = grouped
-        self._count[old] -= moved
-        left = self._count[old]
-        missing = np.flatnonzero(new == _NO_ID)
-        self._top -= len(missing)
-        new[missing] = cids = self._free[self._top:self._top + len(missing)]
-        self._fp[cids] = fps[missing]
-        self._ids.update(zip(fps[missing].tolist(), cids.tolist()))
-        self.ns += int(moved @ (self._count[new] - left))
-        self._count[new] += moved
+        self._count[old] = left = self._count[old] - moved  # the old ids are distinct, as are the new
+        missing = (new == _NO_ID).nonzero()[0]
+        if len(missing):
+            self._top -= len(missing)
+            new[missing] = cids = self._free[self._top:self._top + len(missing)]
+            self._fp[cids] = fps[missing]
+            self._ids.update(zip(fps[missing].tolist(), cids.tolist()))
+        size = self._count[new]  # after the old update: under a collision a new id can be an old one
+        self.ns += int(moved @ (size - left))
+        self._count[new] = size + moved
         self._key_id[ball] = new[inv]
         dead = old[(self._count[old] == 0) & (old != _EMPTY_ID)]
-        for fp in self._fp[dead].tolist():
-            del self._ids[fp]
-        self._free[self._top:self._top + len(dead)] = dead
-        self._top += len(dead)
+        if len(dead):
+            for fp in self._fp[dead].tolist():
+                del self._ids[fp]
+            self._free[self._top:self._top + len(dead)] = dead
+            self._top += len(dead)
         return left
 
     def _require(self, word: int, codeword: bool) -> None:
@@ -209,15 +211,16 @@ class SignatureTable:
         left = self._move_ball(grouped)
         if self._delta is not None:  # the old classes are those of the table without `word`
             (t, lin), (t0, p) = self._terms(ball, inv, old, moved, left), self._delta
-            fresh = int(moved[old == _EMPTY_ID].sum())
-            self._delta = (t0 - t, p + t * (t - 1 - fresh) - lin)
+            t0 -= t  # in place, as is P: every vector handed out is a copy
+            p += t * (t - (1 + int(moved @ (old == _EMPTY_ID)))) - lin
 
     def remove(self, word: int) -> None:
         """Remove a codeword."""
         _, _, gone, grouped, _, terms = self._removal(word, self._delta is not None)
         if terms is not None:  # as swap_deltas(word) left them, or afresh
             (t, lin), (t0, p) = terms, self._delta
-            self._delta = (t0 + t, p + lin - t * (t - 1 - gone))
+            t0 += t
+            p += lin - t * (t - (1 + gone))
         self._move_ball(grouped)
         self._word_mask[word] = False
         self.size -= 1
@@ -260,7 +263,9 @@ class SignatureTable:
             self._start_tracking()
         if self._scores is None:
             (t0, p), nc = self._delta, self.nc
-            self._scores = (len(self._offsets) + p + t0 * (t0 - nc - 2), 2 * t0 - (nc + 1))
+            self._scores = a, b = (t0 - (nc + 2)) * t0, t0 * 2
+            a += p + len(self._offsets)
+            b -= nc + 1
         return self._scores
 
     def _start_tracking(self) -> None:
@@ -268,9 +273,10 @@ class SignatureTable:
         # empty table, where T0 = V and P = 0, rebuilds them
         replay = SignatureTable(self.dim, self.radius)
         replay._delta = (np.full(1 << self.dim, len(self._offsets)), np.zeros(1 << self.dim, dtype=np.int64))
+        replay._slot = np.zeros(len(self._count), dtype=np.int32)  # _terms' scratch, zero between calls
         for word in self.words():
             replay.add(word)
-        self._delta = replay._delta
+        self._delta, self._slot = replay._delta, replay._slot
 
     def _terms(self, ball, inv, base, k1, k2):
         """(t, lin) of one codeword over each B(s): adding it changes T0 by
@@ -286,25 +292,27 @@ class SignatureTable:
         pairs add theirs.
         """
         n_verts = 1 << self.dim
-        covered = base != _EMPTY_ID
-        group = np.zeros(len(self._count), dtype=np.int64)
-        group[base] = np.arange(1, len(base) + 1)
-        group[_EMPTY_ID] = 0
-        member = group[self._key_id]  # 0 on the ball unless fingerprints collide
+        uncovered, slot = base == _EMPTY_ID, self._slot
+        slot[base] = np.arange(1, len(base) + 1, dtype=np.int32)
+        slot[_EMPTY_ID] = 0
+        member = slot[self._key_id]  # 0 on the ball unless fingerprints collide
+        slot[base] = 0
         outside = member.nonzero()[0]
-        jo = member[outside] - 1
+        weight = -k2
+        weight[uncovered] = 1
         # the rows of the uncovered vertices land in the second third, t
-        rows = np.concatenate((ball ^ np.where(covered, 0, n_verts)[inv], outside))
-        weight = np.concatenate((np.where(covered, -k2, 1)[inv], -k1[jo]))
+        rows, weight = ball ^ (uncovered * n_verts)[inv], weight[inv]
         out = np.zeros(3 * n_verts, dtype=np.int64)  # the last third takes the pads of _meets
-        np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), np.repeat(weight, len(self._offsets)))
         if len(outside):
+            jo = member[outside] - 1
             ia, ib = (inv[:, None] == jo).nonzero()  # jo holds no uncovered class
             a = ball[ia]
             index, blocks = _meets(self.dim, self.radius)
             row = index[a ^ outside[ib]]
             for shift, block in blocks:
                 np.add.at(out, a[:, None] ^ block.take(row - shift, axis=0, mode="clip"), 2)
+            rows, weight = np.concatenate((rows, outside)), np.concatenate((weight, -k1[jo]))
+        np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), weight.repeat(len(self._offsets)))
         return out[n_verts:2 * n_verts], out[:n_verts]
 
     def _removal(self, word: int, terms: bool = False):

@@ -364,6 +364,19 @@ class TestCliConstruct:
         assert rc == 2
         assert "error: stop_size must be >= 1" in capsys.readouterr().err
 
+    def test_noising_stop_size_below_the_lower_bound_is_a_usage_error(self, capsys, monkeypatch):
+        # no 1-identifying code in F^5 has fewer than 10 words: the search
+        # could never stop early, so it is refused before it starts
+        searched = []
+        monkeypatch.setattr(cli.heuristics, "noising_search", lambda *a, **k: searched.append(a))
+        rc = main([
+            "construct", "--method", "noising", "--r", "1", "--n", "5",
+            "--size", "10", "--stop-size", "9",
+        ])
+        assert rc == 2 and not searched
+        err = capsys.readouterr().err
+        assert "usage error: --stop-size 9 is below the lower bound 10" in err
+
     def test_noising_failure_exit(self, capsys):
         rc = main([
             "construct", "--method", "noising", "--r", "1", "--n", "3",

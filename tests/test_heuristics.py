@@ -443,6 +443,21 @@ class TestNoisingSameSeed:
         # the initial adds, a removal and an add per accepted swap, the shrinks
         assert sum(t is run.table for t in moved) == size + 2 * accepted + shrinks
 
+    @pytest.mark.parametrize("r,n,size,calls", [(1, 6, 21, 968), (2, 6, 10, 1153)])
+    def test_one_scatter_per_visit_and_per_accepted_add(self, r, n, size, calls, monkeypatch):
+        scattered = []
+        terms = SignatureTable._terms
+        monkeypatch.setattr(SignatureTable, "_terms",
+                            lambda self, *a: scattered.append(self) or terms(self, *a))
+        run = _NoisingRun(r, n, _small_run(r, n, size), None)
+        rep = run.run()
+        accepted, shrinks = len(rep.trace) - 1, len(rep.sizes_achieved)
+        # each visit scatters its codeword once, an accepted swap's removal
+        # reuses that scatter and its add makes one, and so does each shrink
+        assert sum(t is run.table for t in scattered) == rep.iterations_used + accepted + shrinks == calls
+        # the rest: the replay that starts the scores adds the first visit's code
+        assert len(scattered) - calls == size
+
 
 class TestSearchUnderFingerprintCollisions:
     """With the table's marks forced to collide, its f can only read high:

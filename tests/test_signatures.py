@@ -543,6 +543,15 @@ class TestMaintainedDeltas:
             t.word_mask[0] = True  # a read-only view
 
 
+def _table_arrays(table):
+    """Every array a table holds, in its attributes and their tuples and lists."""
+    found = []
+    for value in vars(table).values():
+        for item in value if isinstance(value, (tuple, list)) else [value]:
+            found.extend(item if isinstance(item, (tuple, list)) else [item])
+    return [item for item in found if isinstance(item, np.ndarray)]
+
+
 class TestSwapDeltas:
     """swap_deltas scores every swap of one codeword, as a noising visit
     does, from the table as it stands and without touching it."""
@@ -580,6 +589,31 @@ class TestSwapDeltas:
             t.check()
             assert (t.nc, t.ns) == _static_nc_ns(t)
             assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+
+    @pytest.mark.parametrize("flat", [None, False, True])  # None: the table's own marks
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_returned_scores_stay_fresh_under_moves(self, flat, data):
+        # T0 and P change in place on every move: a returned vector shares
+        # no memory with the table, so the moves leave it as it was
+        n = data.draw(st.integers(4 if flat is False else 3, 7), label="n")  # mark(15) is forced
+        r = data.draw(st.integers(1, 2), label="r")
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                   max_size=min(20, (1 << n) - 1), unique=True), label="words")
+        with pytest.MonkeyPatch.context() as mp:
+            if flat is not None:
+                collide_table_marks(mp, flat)
+            t = SignatureTable.build(Code.from_words(words, n), r)
+            word = data.draw(st.sampled_from(words), label="scored word")
+            returned = [t.add_delta_all(), t.swap_deltas(word)]
+            kept = [v.tobytes() for v in returned]
+            states = [_table_arrays(t)]
+            t.remove(word)
+            t.add(data.draw(st.sampled_from(np.flatnonzero(~t.word_mask).tolist()), label="added word"))
+            states.append(_table_arrays(t))
+            assert [v.tobytes() for v in returned] == kept
+            for v in returned:
+                assert not any(np.shares_memory(v, state) for arrays in states for state in arrays)
 
     def test_remove_after_scoring_reuses_its_vectors(self, monkeypatch, rng):
         t = SignatureTable.build(random_code(rng, 6, kmin=6, kmax=10), 2)
@@ -645,6 +679,22 @@ class TestTableFingerprints:
         assert t.f > evaluate(t.code(), 1).f
         with pytest.raises(AssertionError):
             t.check()  # the recount is exact, not by fingerprint
+
+    @pytest.mark.parametrize("order", [[0, 3, 12, 15], [12, 15, 0, 3], [0, 12, 15, 3]])
+    def test_a_refilled_class_stays_live_under_a_collision(self, order, monkeypatch):
+        # at (4, 2) adding the last word, or removing it again, moves a
+        # class onto the id of another class of its ball that the move
+        # empties: the id stays live, in the fingerprint map and off the
+        # free stack
+        collide_table_marks(monkeypatch)
+        tables = [SignatureTable(4, 2), SignatureTable.build(Code.from_words([0, 3, 12, 15], 4), 2)]
+        for w in order:
+            tables[0].add(w)
+        tables[1].remove(order[-1])
+        for t in tables:
+            counted = Counter(t._key_id.tolist())
+            assert all(t._count[cid] == k and t._ids[int(t._fp[cid])] == cid for cid, k in counted.items())
+            assert not set(t._free[:t._top].tolist()) & set(counted)
 
     @pytest.mark.parametrize("flat", [False, True])
     def test_f_never_reads_below_the_true_f(self, flat, monkeypatch, rng):
