@@ -42,7 +42,7 @@ def _check_even(code: Code) -> np.ndarray:
     words = code.array
     odd = np.flatnonzero(np.bitwise_count(words) & 1)
     if len(odd):
-        raise ValueError(f"codeword {code.words[odd[0]]} has odd weight; all must be even")
+        raise ValueError(f"codeword {words[odd[0]]} has odd weight; all must be even")
     return words
 
 

@@ -23,16 +23,16 @@ Two evaluation paths are provided and cross-checked in the test suite:
 * ``evaluate`` — a static vectorized pass over all of F^n, used for
   one-shot verification up to dimension MAX_EVAL_DIM.
 
-Both fingerprint a cover set as the XOR of a random odd 64-bit mark per
-codeword, with marks from independent seeds.  The table keys its classes
-by fingerprint, so a collision can merge two (see ``SignatureTable``);
-its f then reads high, never low.  The static path is exact: it walks the
-ball offsets, and each column codewords ^ offset is duplicate-free, so one
-XOR pass per offset gives every vertex its fingerprint; nonzero proves it
-covered, and targets left at zero are rechecked exactly.  One in-place sort
-of the covered fingerprints finds the vertices that might share a cover
-set; a second pass over the offsets gives only those their exact cover
-sets, as sorted rows of codeword indices, and the rows decide every count.
+Both fingerprint a cover set as the XOR of a random odd mark per codeword,
+64-bit in the table and 32-bit on the static path, from independent seeds.
+The table keys its classes by fingerprint, so a collision can merge two
+(see ``SignatureTable``); its f then reads high, never low.  The static
+path is exact: one XOR pass per ball offset (each column codewords ^ offset
+is duplicate-free) gives every vertex its fingerprint, nonzero only if it
+is covered.  One in-place sort of the nonzero fingerprints finds the
+vertices that might share a cover set; a second pass over the offsets, from
+the smaller side, gives only those and the vertices at zero their exact
+cover sets, as sorted rows of codeword indices, which decide every count.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .hypercube import Code, ball_offsets, odd_mask
 # at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
 MAX_TABLE_DIM = 20
 
-# The static evaluator's arrays peak near 22 bytes a vertex plus 24 a
-# codeword (tracemalloc): 0.35 GB at 2^24, 0.75 GB for the full space.  A
-# failing code adds up to about 40 bytes per (vertex, covering codeword)
-# pair of its candidates, at most len(words) * V(n, r) pairs.
+# Static evaluation peaks near 12 bytes a vertex (tracemalloc: 12.1 MiB at
+# n = 20, 48 MiB at n = 22), or 4 a vertex and 16 a codeword if more: 0.2 GB
+# at 2^24, 0.34 GB for the full space.  A failing code adds up to 40 bytes
+# per (vertex, covering codeword) pair of its candidates, |C| V(n, r) at most.
 MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
@@ -407,8 +407,8 @@ def _meets(dim: int, radius: int):
 
 
 def _marks(k: int) -> np.ndarray:
-    """k random odd 64-bit fingerprint marks, one per codeword."""
-    return np.random.PCG64(_FP_SEED).random_raw(k) | np.uint64(1)
+    """k random odd 32-bit fingerprint marks, one per codeword."""
+    return (np.random.PCG64(_FP_SEED).random_raw(k) | np.uint64(1)).astype(np.uint32)
 
 
 @cache
@@ -422,9 +422,9 @@ def _table_marks(dim: int) -> np.ndarray:
 def _fingerprints(words: np.ndarray, marks: np.ndarray, offs: np.ndarray, n_verts: int) -> np.ndarray:
     """Each vertex's XOR of the marks of the codewords within its ball: one
     XOR pass per ball offset, as each column words ^ offset is duplicate-free."""
-    fp = np.zeros(n_verts, dtype=np.uint64)
+    fp = np.zeros(n_verts, dtype=marks.dtype)
     col = np.empty(len(words), dtype=np.intp)  # the index dtype: no cast per scatter
-    hit = np.empty(len(words), dtype=np.uint64)
+    hit = np.empty(len(words), dtype=marks.dtype)
     for off in offs:
         np.bitwise_xor(words, off, out=col)
         np.take(fp, col, out=hit, mode="clip")  # in range anyway; "clip" skips a buffered check
@@ -433,21 +433,43 @@ def _fingerprints(words: np.ndarray, marks: np.ndarray, offs: np.ndarray, n_vert
     return fp
 
 
+def _cover_pairs(words: np.ndarray, live: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """The sorted pairs vertex << 32 | codeword index of the vertices marked
+    `live` and the codewords in their balls, one pass per ball offset from
+    the smaller side: the candidates probe a map of codeword index + 1, or
+    the codewords probe `live`."""
+    small = np.count_nonzero(live) < len(words)
+    probe, rank = (np.flatnonzero(live), np.zeros(len(live), dtype=np.int32)) if small else (words, live)
+    if small:
+        rank[words] = np.arange(1, len(words) + 1, dtype=np.int32)
+    found = []
+    for off in offs:
+        col = probe ^ off
+        hit = rank[col]
+        at = np.flatnonzero(hit)
+        vertex, index = (probe[at], hit[at] - 1) if small else (col[at], at)
+        found.append(vertex.astype(np.uint64) << 32 | index.astype(np.uint64))
+    found = np.concatenate(found)
+    found.sort()
+    return found
+
+
 def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
                      odd_targets: bool = False):
     """nc/ns over the target vertices (all of F^n, or its odd-weight half),
     plus witnesses following ``diagnose``'s rule.
 
     Per ball offset, the duplicate-free column words ^ offset XORs the
-    codewords' random marks into a 64-bit fingerprint per vertex.  Nonzero
-    means covered; if a target is left at zero, one scatter of the codeword
-    balls rechecks them all exactly.  Equal cover sets give equal
-    fingerprints, so an in-place sort that finds no repeat among the covered
-    targets (every identifying code) ends the pass.  Otherwise a second pass
-    collects the (vertex, codeword index) pairs of the candidates, at most
-    len(words) * V of them; sorted, they give each candidate's exact cover
-    set as a row, and np.unique over the rows of each length gives the
-    classes, so no count or witness rests on a fingerprint.
+    codewords' random marks into a 32-bit fingerprint per vertex.  Equal
+    cover sets give equal fingerprints and only covered vertices nonzero
+    ones, so if no target is at zero and an in-place sort of the rest finds
+    no repeat, the pass ends.  Otherwise (a failing code, or chance repeats:
+    about 130 at n = 20, 510 at n = 21) _cover_pairs collects the (vertex,
+    codeword index) pairs of the candidates, the targets at zero and those
+    whose low n bits match a repeat's: at most len(words) * V pairs, which
+    give each covered candidate its exact cover set as a row.  np.unique over
+    the rows of each length gives the classes, and a candidate with no row is
+    uncovered: no count or witness rests on a fingerprint.
     """
     if n > MAX_EVAL_DIM:
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
@@ -455,39 +477,28 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     offs = ball_offsets(n, r)
     fp = _fingerprints(words, _marks(len(words)), offs, n_verts)
     targets = odd_mask(n) if odd_targets else True
-    covered = fp != 0
-    empty = ~covered & targets  # so far: the targets at fingerprint 0, rechecked exactly
-    if empty.any():
-        col = np.empty(len(words), dtype=np.intp)
-        for off in offs:
-            covered[np.bitwise_xor(words, off, out=col)] = True
-        empty &= ~covered
-    live = covered & targets
-    nc = int(np.count_nonzero(empty))
-    ns = _pairs(nc)  # the uncovered vertices form one exact class
-    uncovered = pair = None
-    if want_witnesses and nc:
-        uncovered = int(np.argmax(empty))
-        if nc >= 2:
-            pair = (uncovered, uncovered + 1 + int(np.argmax(empty[uncovered + 1:])))
+    zero = (fp == 0) & targets  # uncovered, unless their marks cancel out
+    live = (fp != 0) & targets
     dup = fp[live]
     dup.sort()
     dup = dup[1:][dup[1:] == dup[:-1]]
-    if not len(dup):
-        return nc, ns, uncovered, pair
-    # candidates: the covered targets that share their low n fingerprint bits with a repeat
-    low = np.uint64(n_verts - 1)
+    if not len(dup) and not zero.any():
+        return 0, 0, None, None
+    # candidates: the targets at fingerprint 0, and those that share their low n bits with a repeat
     bucket = np.zeros(n_verts, dtype=bool)
-    bucket[dup & low] = True
-    live[live] = bucket[fp[live] & low]
-    found = []
-    for off in offs:
-        col = words ^ off
-        hit = np.flatnonzero(live[col]).astype(np.uint64)
-        found.append(col[hit].astype(np.uint64) << 32 | hit)
-    found = np.concatenate(found)
-    found.sort()
+    bucket[dup & (n_verts - 1)] = True
+    live &= bucket[fp & (n_verts - 1)]
+    live |= zero
+    found = _cover_pairs(words, live, offs)
     cand, start, size = np.unique(found >> 32, return_index=True, return_counts=True)
+    zero[cand] = False  # now exactly the uncovered targets
+    nc = int(np.count_nonzero(zero))
+    ns = _pairs(nc)  # the uncovered vertices form one exact class
+    uncovered = pair = None
+    if want_witnesses and nc:
+        uncovered = int(np.argmax(zero))
+        if nc >= 2:
+            pair = (uncovered, uncovered + 1 + int(np.argmax(zero[uncovered + 1:])))
     member = found.astype(np.uint32)  # the low half: the codeword index
     label = np.empty(len(cand), dtype=np.int64)  # a class is a size and a row
     for k in np.unique(size):

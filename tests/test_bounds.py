@@ -15,6 +15,7 @@ from idcodes.bounds import (
     lookup,
 )
 from idcodes.exact import min_identifying
+from idcodes.signatures import diagnose
 
 
 class TestRegistryLoading:
@@ -167,6 +168,21 @@ class TestClassification:
         assert classify_size(1, 9, 110) == "beats-upper"
         assert classify_size(1, 9, 114) == "matches-upper"
         assert classify_size(1, 9, 200) == "between"
+
+    def test_orbit_code_beats_the_1_9_upper_bound(self):
+        # the union of the <sigma, kappa>-orbits of seven words, sigma rotating
+        # the 9 bits and kappa XORing with 1^9: a 1-identifying code of F^9
+        # with 110 words, below the registry's 114
+        n, full = 9, (1 << 9) - 1
+        words = set()
+        for w in (0, 7, 9, 21, 35, 75, 77):
+            for _ in range(n):
+                w = (w << 1 | w >> (n - 1)) & full
+                words |= {w, w ^ full}
+        code = Code.from_words(words, n)
+        assert len(code) == 110
+        assert diagnose(code, 1).identifying
+        assert classify_size(1, n, len(code)) == "beats-upper"
 
     def test_exact_cell_has_no_gap(self):
         assert classify_size(1, 4, 7) == "matches-upper"

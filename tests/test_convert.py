@@ -187,6 +187,14 @@ class TestDiscriminatingReport:
         with pytest.raises(ValueError):
             discriminating_report(Code.from_words([0, 1], 4), 1)
 
+    def test_odd_weight_message_names_the_first_odd_word(self):
+        # the message reads the array: no tuple of every word is built for it
+        code = Code(6, np.array([0, 3, 7, 11, 13], dtype=np.uint32))
+        for call in (lambda: discriminating_report(code, 1), lambda: to_identifying(code)):
+            with pytest.raises(ValueError, match=r"^codeword 7 has odd weight"):
+                call()
+        assert "words" not in vars(code)
+
     def test_radius_beyond_dim_rejected(self):
         with pytest.raises(ValueError):
             discriminating_report(Code.from_words([0], 4), 5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from idcodes import Code, full_space, signatures
 from idcodes.codefile import parse_code_text, read_code_file, write_code_file
-from idcodes.convert import discriminating_report
+from idcodes.convert import discriminating_report, to_discriminating
 from idcodes.extend import extend_c1
 from idcodes.hypercube import ball_offsets
 from idcodes.signatures import (
@@ -169,6 +169,45 @@ class TestCanonicalWitnesses:
         assert {"uncovered", "class"} <= branches
 
 
+def _shipped_1_9():
+    return parse_code_text(resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()).code
+
+
+class TestExactPassSides:
+    """The exact pass walks from the smaller side: a few candidates probe a
+    codeword-index map, and many are found by the codewords probing the
+    candidate mask.  Either way the counts and witnesses are the oracle's."""
+
+    @pytest.mark.parametrize("case,side", [("near", "candidates"), ("sparse", "codewords")])
+    def test_each_side_matches_brute_force(self, case, side, monkeypatch, rng):
+        sides = []
+        cover_pairs = signatures._cover_pairs
+
+        def spy(words, live, offs):
+            sides.append("candidates" if np.count_nonzero(live) < len(words) else "codewords")
+            return cover_pairs(words, live, offs)
+
+        monkeypatch.setattr(signatures, "_cover_pairs", spy)
+        # 12-bit marks: chance repeats make candidates of vertices in distinct classes
+        marks = signatures._marks
+        monkeypatch.setattr(signatures, "_marks", lambda k: marks(k) & np.uint32(0xFFF))
+        if case == "near":  # an identifying code minus one word, and its parity extension
+            n, r = 9, 1
+            words = list(_shipped_1_9().words[1:])
+            even = to_discriminating(Code.from_words(words, n)).words
+        else:  # sparse codes at a large radius: thousands of vertices share a cover set
+            n, r = 14, 3
+            words = sorted(rng.choice(1 << n, size=60, replace=False).tolist())
+            even = [w for w in words if bin(w).count("1") % 2 == 0]
+        rep = diagnose(Code.from_words(words, n), r)
+        assert rep.ns > 0 and (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == brute_report(words, n, r)
+        dim = n + 1 if case == "near" else n
+        rep = discriminating_report(Code.from_words(even, dim), r)
+        assert rep.ns > 0
+        assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == brute_report(even, dim, r, odd_only=True)
+        assert sides == [side, side]
+
+
 class TestFingerprintCollisions:
     """With every mark equal to one, a fingerprint is just the parity of the
     cover count, so covered vertices collide wholesale and only the exact
@@ -202,6 +241,10 @@ class TestFingerprintCollisions:
             parities = {len(cover[v]) % 2 for v in targets}
             merged_classes += len({cover[v] for v in targets}) > len(parities)
         assert merged_classes > 0  # the fingerprints alone would have been wrong
+
+    def test_an_identifying_code_passes_without_distinct_fingerprints(self):
+        rep = diagnose(_shipped_1_9(), 1)
+        assert rep.identifying and (rep.nc, rep.ns, rep.unseparated) == (0, 0, None)
 
     @pytest.mark.parametrize("odd_only", [False, True])
     def test_zero_fingerprints_are_rechecked_exactly(self, odd_only, rng):
@@ -669,7 +712,8 @@ class TestTableFingerprints:
     def test_marks_are_apart_from_the_static_path(self, n):
         marks = SignatureTable(n, 1)._mark
         assert len(marks) == 1 << n and (marks & np.uint64(1)).all()
-        assert not np.isin(marks, signatures._marks(1 << n)).any()
+        # the static marks are 32-bit: compare the table marks' low halves
+        assert not np.isin(marks.astype(np.uint32), signatures._marks(1 << n)).any()
 
     def test_a_forced_collision_merges_classes(self, monkeypatch):
         collide_table_marks(monkeypatch)
