@@ -7,7 +7,7 @@ set of codewords (separated).  f = NC + NS counts the violations.
 
 from importlib import resources
 
-from idcodes import Code, diagnose, evaluate
+from idcodes import Code, diagnose
 from idcodes.codefile import parse_code_text
 
 # Three words in F^3: every pair of vertices is separated, but vertex 111
@@ -26,6 +26,6 @@ print("one unseparated pair:", rep.unseparated)
 # The packaged reference code: 114 words, 1-identifying in F^9.
 text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
 ref = parse_code_text(text).code
-ev = evaluate(ref, 1)
+ev = diagnose(ref, 1)
 print("\nreference code: size", len(ref), " f =", ev.f)
 print("first ten words:", ref.words[:10])

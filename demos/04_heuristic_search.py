@@ -10,7 +10,7 @@ import time
 
 from idcodes import (
     NoisingParams,
-    evaluate,
+    diagnose,
     greedy_construct,
     noising_search,
     prune,
@@ -20,7 +20,7 @@ from idcodes.bounds import lookup
 r, n = 1, 7
 
 code = greedy_construct(r, n, seed=0)
-print(f"greedy at r={r}, n={n}: size {len(code)}  (f = {evaluate(code, r).f})")
+print(f"greedy at r={r}, n={n}: size {len(code)}  (f = {diagnose(code, r).f})")
 
 smaller = prune(code, r, restarts=8, seed=0)
 print(f"after pruning: size {len(smaller)}")

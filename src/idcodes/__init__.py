@@ -68,11 +68,9 @@ from .hypercube import (
     full_space,
 )
 from .signatures import (
-    Evaluation,
     SignatureTable,
     VerifyReport,
     diagnose,
-    evaluate,
     is_identifying,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "CodeFile",
     "CodeFileError",
     "DiscriminatingReport",
-    "Evaluation",
     "ExtensionError",
     "ExtensionPlan",
     "MAX_DIM",
@@ -107,7 +104,6 @@ __all__ = [
     "direct_sum",
     "discriminating_lookup",
     "discriminating_report",
-    "evaluate",
     "extend_c1",
     "extend_c2",
     "full_space",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .hypercube import Code
-from .signatures import evaluate
+from .signatures import diagnose
 
 MIN_RADIUS = 1
 MAX_RADIUS = 5
@@ -305,9 +305,9 @@ def compare(code: Code, r: int) -> str:
     Raises ValueError when the code fails verification: comparing an
     unverified code against the table would be meaningless.
     """
-    ev = evaluate(code, r)
-    if ev.f != 0:
+    rep = diagnose(code, r)
+    if not rep.identifying:
         raise ValueError(
-            f"code is not {r}-identifying (nc={ev.nc}, ns={ev.ns}); refusing to classify"
+            f"code is not {r}-identifying (nc={rep.nc}, ns={rep.ns}); refusing to classify"
         )
     return classify_size(r, code.dim, len(code))

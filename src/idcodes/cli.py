@@ -114,7 +114,6 @@ def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict]:
             target_size=args.size,
             rho_init=rho_init,
             rho_steps=args.rho_steps,
-            sweeps_per_rho=args.sweeps_per_rho,
             max_iterations=args.max_iterations,
             seed=seed,
         )
@@ -310,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma-separated seed portfolio (noising)")
     p.add_argument("--rho-init", type=float, default=None)
     p.add_argument("--rho-steps", type=int, default=100)
-    p.add_argument("--sweeps-per-rho", type=int, default=1)
     p.add_argument("--max-iterations", type=int, default=2_000_000)
     p.add_argument("--stop-size", type=int, default=None, help="return once a code this small is found")
     p.add_argument("--prune", action="store_true", help="prune after greedy")
@@ -327,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separ", help="code file with the k-separating factor (C2)")
     p.add_argument("--r", type=int, default=None, help="override the file-header radius")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extend)
 

@@ -12,29 +12,19 @@ rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hypercube import Code
-from .signatures import _evaluate_static
+from .signatures import VerifyReport, _evaluate_static
 
 
-@dataclass(frozen=True)
-class DiscriminatingReport:
-    """Cover-set verdict over the odd vertices.  Witnesses: the smallest
-    uncovered odd vertex; the two smallest uncovered odd vertices if there
-    are two, else the two smallest members of the exact cover-set class
-    holding the smallest unseparated covered odd vertex (None if none)."""
+class DiscriminatingReport(VerifyReport):
+    """A ``VerifyReport`` over the odd vertices only: nc, ns and the
+    witnesses count and name odd vertices."""
 
-    dim: int
-    radius: int
-    size: int
-    nc: int
-    ns: int
-    discriminating: bool
-    uncovered: int | None
-    unseparated: tuple[int, int] | None
+    @property
+    def discriminating(self) -> bool:
+        return self.f == 0
 
 
 def _check_even(code: Code) -> np.ndarray:
@@ -51,17 +41,8 @@ def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
     if radius % 2 == 0:
         raise ValueError("the property is defined for odd radii only")
     words = _check_even(code)
-    nc, ns, uncovered, pair = _evaluate_static(words, code.dim, radius, True, odd_targets=True)
-    return DiscriminatingReport(
-        dim=code.dim,
-        radius=radius,
-        size=len(code),
-        nc=nc,
-        ns=ns,
-        discriminating=(nc + ns == 0),
-        uncovered=uncovered,
-        unseparated=pair,
-    )
+    return DiscriminatingReport(code.dim, radius, len(code),
+                                *_evaluate_static(words, code.dim, radius, odd_targets=True))
 
 
 def is_discriminating(code: Code, radius: int) -> bool:

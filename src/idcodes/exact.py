@@ -40,7 +40,7 @@ import numpy as np
 
 from . import bounds
 from .hypercube import Code, ball_offsets, ball_size, odd_mask, permute_words
-from .signatures import evaluate
+from .signatures import diagnose
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
 # bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
@@ -82,7 +82,7 @@ def is_separating(code: Code, k: int) -> bool:
     Vertices may go uncovered, but only one: two uncovered vertices would
     share the empty cover set.
     """
-    return evaluate(code, k).ns == 0
+    return diagnose(code, k).ns == 0
 
 
 class _Searcher:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import is_separating
 from .hypercube import Code, annulus_offsets, direct_sum, full_space
-from .signatures import diagnose, evaluate
+from .signatures import diagnose
 
 
 class ExtensionError(ValueError):
@@ -156,27 +156,11 @@ def _check_ranges(r1: int, p: int, r2: int, k: int | None, force: bool) -> None:
         )
 
 
-def _verify_base(code: Code, r1: int) -> None:
-    ev = evaluate(code, r1)
-    if ev.f != 0:
-        raise VerificationFailed(
-            f"base code is not {r1}-identifying (nc={ev.nc}, ns={ev.ns})"
-        )
-
-
-def _verify_output(out: Code, radius: int) -> None:
-    rep = diagnose(out, radius)
-    if rep.identifying:
-        return
-    bits = []
-    if rep.uncovered is not None:
-        bits.append(f"uncovered vertex {rep.uncovered}")
-    if rep.unseparated is not None:
-        u, v = rep.unseparated
-        bits.append(f"unseparated pair ({u}, {v})")
-    raise VerificationFailed(
-        f"extension output failed verification at radius {radius}: " + "; ".join(bits)
-    )
+def _verify(code: Code, radius: int, what: str) -> None:
+    rep = diagnose(code, radius)
+    if not rep.identifying:
+        raise VerificationFailed(f"{what} is not {radius}-identifying (nc={rep.nc}, ns={rep.ns}, "
+                                 f"uncovered={rep.uncovered}, unseparated={rep.unseparated})")
 
 
 def _nonzero_cube(p: int) -> Code:
@@ -186,7 +170,7 @@ def _nonzero_cube(p: int) -> Code:
 def plan_c1(code: Code, r1: int, p: int, r2: int = 0, force: bool = False) -> ExtensionPlan:
     """Plan construction C1; the patch factor is all of F^p except 0^p."""
     _check_ranges(r1, p, r2, None, force)
-    _verify_base(code, r1)
+    _verify(code, r1, "base code")
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
     lo, hi = _band(r1, p, r2, n)
@@ -202,7 +186,7 @@ def plan_c2(
         raise ExtensionError(f"separating factor lives in F^{separ.dim}, expected F^{p}")
     if not is_separating(separ, k):
         raise VerificationFailed(f"factor code is not {k}-separating in F^{p}")
-    _verify_base(code, r1)
+    _verify(code, r1, "base code")
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
     d = r1 + r2 - k
@@ -219,7 +203,7 @@ def apply_plan(plan: ExtensionPlan) -> Code:
         patch = _nonzero_cube(plan.p) if plan.separ is None else plan.separ
         patched = direct_sum(Code(plan.base.dim, plan.y_set), patch)
         out = Code.from_words(np.concatenate((out.array, patched.array)), plan.out_dim)
-    _verify_output(out, plan.out_radius)
+    _verify(out, plan.out_radius, "extension output")
     return out
 
 

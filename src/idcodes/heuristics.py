@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import Code
-from .signatures import SignatureTable, evaluate
+from .signatures import SignatureTable, is_identifying
 
 _NEVER = np.iinfo(np.int64).max  # the score of a word never chosen, noise or not
 
@@ -37,15 +37,14 @@ class NoisingParams:
 
     The noise magnitude decreases arithmetically from ``rho_init`` to
     exactly zero over ``rho_steps`` decrements; at each magnitude the
-    search sweeps the codeword cycle ``sweeps_per_rho`` times.  One
-    iteration is one attempted swap (accepted or not), and the search
-    stops after ``max_iterations`` of them.
+    search sweeps the codeword cycle once.  One iteration is one attempted
+    swap (accepted or not), and the search stops after ``max_iterations``
+    of them.
     """
 
     target_size: int
     rho_init: float
     rho_steps: int = 100
-    sweeps_per_rho: int = 1
     max_iterations: int = 2_000_000
     seed: int = 0
 
@@ -54,8 +53,8 @@ class NoisingParams:
             raise ValueError("target_size must be >= 1")
         if not 0 < self.rho_init < float("inf"):
             raise ValueError("rho_init must be finite and > 0")
-        if self.rho_steps < 1 or self.sweeps_per_rho < 1 or self.max_iterations < 1:
-            raise ValueError("rho_steps, sweeps_per_rho, max_iterations must be >= 1")
+        if self.rho_steps < 1 or self.max_iterations < 1:
+            raise ValueError("rho_steps, max_iterations must be >= 1")
 
     def schedule(self) -> np.ndarray:
         """Noise magnitudes, arithmetic from rho_init down to exactly 0."""
@@ -134,7 +133,7 @@ class _NoisingRun:
         """Current code is identifying: record it, then drop one codeword."""
         while self.table.f == 0:
             code = self.table.code()
-            if evaluate(code, self.r).f != 0:
+            if not is_identifying(code, self.r):
                 raise AssertionError("incremental engine disagrees with static evaluation")
             self.best_code = code
             self.best_f = 0
@@ -178,12 +177,11 @@ class _NoisingRun:
                 self._record_and_shrink()
             while True:
                 for rho in self.params.schedule():
-                    for _ in range(self.params.sweeps_per_rho):
-                        for i, word in enumerate(self.order):
-                            if self.iterations >= self.params.max_iterations:
-                                raise _StopSearch
-                            if word is not None:  # else removed by a shrink
-                                self._visit(i, float(rho))
+                    for i, word in enumerate(self.order):
+                        if self.iterations >= self.params.max_iterations:
+                            raise _StopSearch
+                        if word is not None:  # else removed by a shrink
+                            self._visit(i, float(rho))
         except _StopSearch:
             pass
         return SearchReport(
@@ -241,7 +239,7 @@ def greedy_construct(r: int, n: int, seed: int = 0) -> Code:
         word = int(ties[rng.integers(len(ties))]) if len(ties) > 1 else int(ties[0])
         table.add(word)
     code = table.code()
-    if evaluate(code, r).f != 0:
+    if not is_identifying(code, r):
         raise AssertionError("incremental engine disagrees with static evaluation")
     return code
 
@@ -262,7 +260,7 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     table = SignatureTable.build(code, r)  # refuses a dimension beyond the table's before any evaluation
-    if evaluate(code, r).f != 0:
+    if not is_identifying(code, r):
         raise NotIdentifyingError(f"input code is not {r}-identifying")
     rng = np.random.Generator(np.random.PCG64(seed))
     free = table.remove_delta_all()[code.array] == 0
@@ -278,7 +276,7 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
             best = table.code()
         for w in reversed(removed):
             table.add(w)
-    if evaluate(best, r).f != 0:
+    if not is_identifying(best, r):
         raise AssertionError("pruned code failed static verification")
     return best
 

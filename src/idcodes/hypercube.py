@@ -18,8 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-# Hard cap on the dimension: every table and enumeration is O(2^dim).
-# Module-level so callers can raise it deliberately.
+# Hard cap on the dimension of a Code, fixed rather than a setting: its words
+# are uint32, which astype wraps silently past 32 bits, and codefile copies the
+# cap at import.  At 30, every word and 2^dim also fit a signed 32-bit int.
 MAX_DIM = 30
 
 

@@ -20,8 +20,8 @@ Two evaluation paths are provided and cross-checked in the test suite:
   (``swap_deltas``, which mutates nothing), at O(2^n) per move;
   ``remove_delta_all`` scores every removal in one pass.  This is what the
   local-search constructions iterate on.
-* ``evaluate`` — a static vectorized pass over all of F^n, used for
-  one-shot verification up to dimension MAX_EVAL_DIM.
+* ``diagnose`` — a static vectorized pass over all of F^n, used for
+  one-shot verification up to dimension MAX_EVAL_DIM, with witnesses.
 
 Both fingerprint a cover set as the XOR of a random odd mark per codeword,
 64-bit in the table and 32-bit on the static path, from independent seeds.
@@ -46,7 +46,7 @@ import numpy as np
 from .hypercube import Code, ball_offsets, odd_mask
 
 # Per-vertex tables get big fast; the incremental engine is meant for the
-# search sizes, not for bulk verification (use evaluate for that).  Swap
+# search sizes, not for bulk verification (use diagnose for that).  Swap
 # scores also read a ball-intersection table, cached per (n, r): V(V - 1)
 # int32 offsets, two pad rows per row width and a 2^n int32 index, 4.2 MB
 # at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
@@ -62,19 +62,6 @@ _EMPTY_ID = 0
 _NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
 _TABLE_FP_SEED = 0x7AB1E5  # the table's marks, apart from the static path's
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Aggregate result: uncovered count, unseparated-pair count, their sum."""
-
-    nc: int
-    ns: int
-    f: int
-
-    def __post_init__(self) -> None:
-        if self.f != self.nc + self.ns:
-            raise ValueError("f must equal nc + ns")
 
 
 def _pairs(k: int) -> int:
@@ -454,10 +441,9 @@ def _cover_pairs(words: np.ndarray, live: np.ndarray, offs: np.ndarray) -> np.nd
     return found
 
 
-def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
-                     odd_targets: bool = False):
+def _evaluate_static(words: np.ndarray, n: int, r: int, odd_targets: bool = False):
     """nc/ns over the target vertices (all of F^n, or its odd-weight half),
-    plus witnesses following ``diagnose``'s rule.
+    plus witnesses following ``VerifyReport``'s rule.
 
     Per ball offset, the duplicate-free column words ^ offset XORs the
     codewords' random marks into a 32-bit fingerprint per vertex.  Equal
@@ -494,11 +480,8 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
     zero[cand] = False  # now exactly the uncovered targets
     nc = int(np.count_nonzero(zero))
     ns = _pairs(nc)  # the uncovered vertices form one exact class
-    uncovered = pair = None
-    if want_witnesses and nc:
-        uncovered = int(np.argmax(zero))
-        if nc >= 2:
-            pair = (uncovered, uncovered + 1 + int(np.argmax(zero[uncovered + 1:])))
+    uncovered = int(np.argmax(zero)) if nc else None
+    pair = (uncovered, uncovered + 1 + int(np.argmax(zero[uncovered + 1:]))) if nc >= 2 else None
     member = found.astype(np.uint32)  # the low half: the codeword index
     label = np.empty(len(cand), dtype=np.int64)  # a class is a size and a row
     for k in np.unique(size):
@@ -507,52 +490,45 @@ def _evaluate_static(words: np.ndarray, n: int, r: int, want_witnesses: bool,
         label[sel] = inv.reshape(-1) * (len(offs) + 1) + k
     _, inv, counts = np.unique(label, return_inverse=True, return_counts=True)
     ns += int((counts * (counts - 1) // 2).sum())
-    if want_witnesses and pair is None:
+    if pair is None:
         shared = np.flatnonzero(counts[inv] >= 2)
         if len(shared):
             pair = tuple(int(v) for v in cand[inv == inv[shared[0]]][:2])
     return nc, ns, uncovered, pair
 
 
-def evaluate(code: Code, radius: int) -> Evaluation:
-    """One-shot exact evaluation of f = nc + ns over all of F^n."""
-    nc, ns, _, _ = _evaluate_static(code.array, code.dim, radius, False)
-    return Evaluation(nc, ns, nc + ns)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
-    dim: int
-    radius: int
-    size: int
-    nc: int
-    ns: int
-    identifying: bool
-    uncovered: int | None
-    unseparated: tuple[int, int] | None
-
-
-def diagnose(code: Code, radius: int) -> VerifyReport:
-    """Evaluation plus canonical witnesses.
+    """The static verdict on one code: nc, ns and canonical witnesses.
 
     ``uncovered`` is the smallest uncovered vertex.  ``unseparated`` is the
     two smallest uncovered vertices if there are at least two; otherwise
     the two smallest members of the exact cover-set class holding the
     smallest unseparated covered vertex.  Each is None when none exists.
     """
-    nc, ns, uncovered, pair = _evaluate_static(code.array, code.dim, radius, True)
-    return VerifyReport(
-        dim=code.dim,
-        radius=radius,
-        size=len(code),
-        nc=nc,
-        ns=ns,
-        identifying=(nc + ns == 0),
-        uncovered=uncovered,
-        unseparated=pair,
-    )
+
+    dim: int
+    radius: int
+    size: int
+    nc: int
+    ns: int
+    uncovered: int | None
+    unseparated: tuple[int, int] | None
+
+    @property
+    def f(self) -> int:
+        return self.nc + self.ns
+
+    @property
+    def identifying(self) -> bool:
+        return self.f == 0
+
+
+def diagnose(code: Code, radius: int) -> VerifyReport:
+    """The exact nc, ns and witnesses of `code` over all of F^n."""
+    return VerifyReport(code.dim, radius, len(code), *_evaluate_static(code.array, code.dim, radius))
 
 
 def is_identifying(code: Code, radius: int) -> bool:
     """True iff every vertex has a nonempty, unique cover set."""
-    return evaluate(code, radius).f == 0
+    return diagnose(code, radius).identifying

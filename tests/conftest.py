@@ -64,7 +64,7 @@ from hypothesis import settings
 from idcodes import Code, signatures
 from idcodes.codefile import CodeFile, CodeFileError
 from idcodes.exact import _CANONICAL_DEPTH, BudgetExhausted, _Searcher
-from idcodes.signatures import SignatureTable, evaluate
+from idcodes.signatures import SignatureTable, diagnose
 
 settings.register_profile("idcodes", deadline=None, print_blob=True)
 settings.load_profile("idcodes")
@@ -188,7 +188,7 @@ def full_swap_deltas(table, word):
 def reference_prune(code, r, restarts=16, seed=0):
     """Random-order removal passes, repeated until none removes a word, on
     a table built afresh for each restart; the smallest result wins."""
-    if evaluate(code, r).f != 0:
+    if diagnose(code, r).f != 0:
         raise ValueError(f"input code is not {r}-identifying")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

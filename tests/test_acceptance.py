@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from idcodes import Code, evaluate
+from idcodes import Code
 from idcodes.bounds import check_consistency, compare, load_registry, lookup
 from idcodes.codefile import parse_code_text
 from idcodes.convert import (
@@ -52,7 +52,7 @@ def test_criterion_01_exact_minima():
         got = min_identifying(r, n)
         assert got.size == want, f"M_{r}({n}) = {got.size}, expected {want}"
         assert got.minimal
-        assert evaluate(got.code, r).f == 0
+        assert diagnose(got.code, r).f == 0
     # (3, 5) is the one cell whose tabulated bounds straddle two values;
     # the certified search settles it by exhausting size 9
     settled = min_identifying(3, 5)
@@ -129,7 +129,7 @@ def test_criterion_04_conversion_round_trips():
     disc = to_discriminating(code)
     for pos in range(1, disc.dim + 1):
         back = to_identifying(disc, pos)
-        assert evaluate(back, 1).f == 0
+        assert diagnose(back, 1).f == 0
 
 
 def test_criterion_05_discriminating_transposition():
@@ -235,7 +235,7 @@ def test_criterion_08_incremental_equals_static():
         table.remove(old)
         assert removal + int(table.add_delta_all()[word]) == predicted
         table.add(word)
-        ev = evaluate(table.code(), r)
+        ev = diagnose(table.code(), r)
         if (table.nc, table.ns) != (ev.nc, ev.ns):
             mismatches += 1
         assert table.f - f_before == predicted
@@ -271,7 +271,7 @@ def test_criterion_09_heuristics_reach_known_sizes():
             if r >= n:
                 continue
             code = prune(greedy_construct(r, n, seed=0), r, restarts=2, seed=0)
-            assert evaluate(code, r).f == 0
+            assert diagnose(code, r).f == 0
             rec = table.get((r, n))
             if rec is not None and len(code) > rec.upper * 1.1:
                 warnings.warn(

@@ -609,24 +609,22 @@ class TestTextIsThePayload:
 
     @pytest.mark.parametrize("line", [
         "construct --method greedy --r 1 --n 4",
-        "extend {code} --p 1",  # --out is required here
+        "extend {code} --p 1",
         "prune {code}",
         "convert {code} --to discriminating",
     ])
     def test_json_is_one_document(self, line, code_74, tmp_path, capsys):
         out = tmp_path / "out.txt"
         argv = line.format(code=code_74).split()
-        if argv[0] == "extend":
-            argv += ["--out", str(out)]
         assert main(argv + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)  # the whole stdout
-        if argv[0] != "extend":
-            # the code sits in the payload, the words --out would write
-            assert main(argv + ["--out", str(out)]) == 0
-            assert payload["code"] == list(read_code_file(out).code.words)
+        # the code sits in the payload, the words --out would write
+        assert main(argv + ["--out", str(out)]) == 0
+        assert payload["code"] == list(read_code_file(out).code.words)
 
     @pytest.mark.parametrize("line,check", [
         ("construct --method greedy --r 1 --n 4", "--r 1"),
+        ("extend {code} --p 1", "--r 1"),
         ("prune {code}", "--r 1"),
         ("convert {code} --to discriminating", "--r 1 --discriminating"),
     ])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, is_identifying
+from idcodes import Code, diagnose, is_identifying
 from idcodes.convert import (
     DiscriminatingReport,
     discriminating_report,
@@ -137,6 +137,23 @@ class TestBijectionProperty:
         for r in (1, 3):
             if r < code.dim:
                 assert oracle_identifying(code.words, code.dim, r) == is_discriminating(disc, r)
+
+    @settings(max_examples=150)
+    @given(codes(), st.data())
+    def test_reports_agree_under_the_bijection(self, code, data):
+        # d((x, 1 - parity(x)), (c, parity(c))) is d(x, c) rounded up to an odd
+        # number, so for odd r the ball of x and that of its odd image hold the
+        # same codewords: same counts, and the witnesses map along
+        r = data.draw(st.sampled_from(range(1, code.dim + 1, 2)), label="r")
+        rep = diagnose(code, r)
+        disc = discriminating_report(to_discriminating(code), r)
+
+        def image(x):
+            return 2 * x + 1 - bin(x).count("1") % 2
+
+        assert (disc.nc, disc.ns) == (rep.nc, rep.ns)
+        assert disc.uncovered == (None if rep.uncovered is None else image(rep.uncovered))
+        assert disc.unseparated == (None if rep.unseparated is None else tuple(map(image, rep.unseparated)))
 
 
 class TestDiscriminatingReport:

@@ -1,6 +1,7 @@
 """The documentation runs: every demo script, and both README quickstarts.
 
-A name removed from the package cannot silently break the docs.  Each
+A name removed from the package cannot silently break the docs, nor
+linger in ``idcodes.__all__``.  Each
 ``print`` line of the README's Python quickstart carries its expected
 output as a ``#`` comment; a comment ending in ``...`` is matched only up
 to the ellipsis.  Each line of the CLI quickstart must exit 0.
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import idcodes
 from idcodes import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,8 @@ def test_readme_cli_quickstart_exits_zero(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the commands write and read files by relative path
     for argv in commands:
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr())
+
+
+def test_every_exported_name_resolves():
+    # a stale entry would break only `from idcodes import *`
+    assert [name for name in idcodes.__all__ if not hasattr(idcodes, name)] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, exact, evaluate, is_identifying
+from idcodes import Code, diagnose, exact, is_identifying
 from idcodes.convert import is_discriminating, to_identifying
 from idcodes.exact import (
     _CANONICAL_DEPTH,
@@ -109,13 +109,13 @@ class TestMinIdentifying:
         assert got.size == want
         assert got.minimal
         assert got.infeasible_sizes == tuple(range(1, want))
-        assert evaluate(got.code, 1).f == 0
+        assert diagnose(got.code, 1).f == 0
 
     def test_r2_n3_against_naive(self):
         want, _ = naive_min_identifying(3, 2)
         got = min_identifying(2, 3, start_size=1)
         assert got.size == want
-        assert evaluate(got.code, 2).f == 0
+        assert diagnose(got.code, 2).f == 0
 
     def test_registry_start_agrees_with_cold_start(self):
         cold = min_identifying(1, 4, start_size=1)
@@ -133,7 +133,7 @@ class TestMinIdentifying:
         got = min_identifying(1, 5)
         assert got.size == 10
         assert got.minimal
-        assert evaluate(got.code, 1).f == 0
+        assert diagnose(got.code, 1).f == 0
 
     def test_m3_5_is_10(self):
         # settles the only open cell of the r=3 row at n=5: size 9 is
@@ -142,7 +142,7 @@ class TestMinIdentifying:
         assert got.size == 10
         assert got.minimal
         assert got.infeasible_sizes == (9,)
-        assert evaluate(got.code, 3).f == 0
+        assert diagnose(got.code, 3).f == 0
 
     def test_budget_exhaustion_returns_open_outcome(self):
         got = min_identifying(1, 5, budget=3, start_size=1)
@@ -396,7 +396,7 @@ class TestTheorem:
         assert ident.size == disc.size
         back = to_identifying(disc.code)
         assert len(back) == disc.size
-        assert evaluate(back, r).f == 0
+        assert diagnose(back, r).f == 0
 
 
 class TestPartnerRadius:

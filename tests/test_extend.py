@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, evaluate
+from idcodes import Code, diagnose
 from idcodes.exact import min_identifying, min_separating
 from idcodes.extend import (
     ExtensionError,
@@ -135,7 +135,7 @@ class TestC1:
         out = apply_plan(plan)
         assert len(out) == 4 * len(base14) == plan.predicted_size() == 28
         assert out.dim == 6
-        assert evaluate(out, 1).f == 0
+        assert diagnose(out, 1).f == 0
 
     def test_single_step_with_patch(self, base15):
         plan = plan_c1(base15, 1, 1)
@@ -144,12 +144,12 @@ class TestC1:
         out = apply_plan(plan)
         assert len(out) == 21
         assert out.dim == 6
-        assert evaluate(out, 1).f == 0
+        assert diagnose(out, 1).f == 0
 
     def test_radius_increasing_step(self, base14):
         out = extend_c1(base14, 1, 1, r2=1)
         assert out.dim == 5
-        assert evaluate(out, 2).f == 0
+        assert diagnose(out, 2).f == 0
         assert len(out) == 14
 
     def test_predicted_size_is_exact_without_overlap(self, base15):
@@ -186,7 +186,7 @@ class TestC2:
         out = extend_c2(base36, 3, 3, 0, 1, separ)
         assert out.dim == 9
         assert len(out) == 8 * len(base36) == 56
-        assert evaluate(out, 3).f == 0
+        assert diagnose(out, 3).f == 0
 
     def test_nonempty_x_uses_patch(self, base36):
         separ = min_separating(2, 1).code
@@ -197,7 +197,7 @@ class TestC2:
         out = apply_plan(plan)
         assert out.dim == 8
         assert len(out) == len(base36) * 4 + 4 * len(separ) == 40
-        assert evaluate(out, 5).f == 0
+        assert diagnose(out, 5).f == 0
 
     def test_separating_factor_dim_checked(self, base36):
         separ = min_separating(2, 1).code
@@ -224,7 +224,7 @@ class TestC2:
         separ = min_separating(2, 0).code
         plan = plan_c2(base36, 3, 2, 0, 0, separ, force=True)
         out = apply_plan(plan)
-        assert evaluate(out, 3).f == 0
+        assert diagnose(out, 3).f == 0
 
     def test_report_mentions_factor(self, base36):
         separ = min_separating(2, 1).code
@@ -242,7 +242,7 @@ class TestOutputAlwaysVerified:
             out = extend_c1(base, 1, 1, r2=1, force=True)
         except VerificationFailed:
             return
-        assert evaluate(out, 2).f == 0
+        assert diagnose(out, 2).f == 0
 
 
 def _by_definition(plan):

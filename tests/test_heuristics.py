@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, evaluate, full_space, heuristics
+from idcodes import Code, diagnose, full_space, heuristics
 from idcodes.codefile import parse_code_text
 from idcodes.heuristics import (
     NoisingParams,
@@ -222,7 +222,7 @@ class TestPrune:
         small = prune(code, 2, restarts=4, seed=0)
         assert set(small.words) <= set(code.words)
         assert len(small) <= len(code)
-        assert evaluate(small, 2).f == 0
+        assert diagnose(small, 2).f == 0
 
     def test_fixed_point(self):
         code = greedy_construct(1, 5, seed=1)
@@ -247,7 +247,7 @@ class TestPrune:
         def refuse(code, r):
             raise AssertionError("evaluated a code the table cannot take")
 
-        monkeypatch.setattr(heuristics, "evaluate", refuse)
+        monkeypatch.setattr(heuristics, "is_identifying", refuse)
         with pytest.raises(ValueError, match="table dim"):
             prune(Code.from_words([0, 1], MAX_TABLE_DIM + 1), 1)
 
@@ -352,7 +352,7 @@ class TestMaintainedDeltasSameSeed:
             raise AssertionError("prune must not build the add-delta state")
 
         monkeypatch.setattr(SignatureTable, "_start_tracking", refuse)
-        assert evaluate(prune(code, 1, restarts=4, seed=0), 1).f == 0
+        assert diagnose(prune(code, 1, restarts=4, seed=0), 1).f == 0
 
 
 def code_digest(code):

@@ -15,10 +15,8 @@ from idcodes.hypercube import ball_offsets
 from idcodes.signatures import (
     MAX_EVAL_DIM,
     MAX_TABLE_DIM,
-    Evaluation,
     SignatureTable,
     diagnose,
-    evaluate,
     is_identifying,
 )
 
@@ -49,7 +47,7 @@ class TestEvaluateAgainstOracles:
         for _ in range(8):
             code = random_code(rng, n)
             want_nc, want_ns = oracle_eval(code.words, n, r)
-            got = evaluate(code, r)
+            got = diagnose(code, r)
             assert (got.nc, got.ns) == (want_nc, want_ns)
             assert got.f == want_nc + want_ns
 
@@ -57,7 +55,7 @@ class TestEvaluateAgainstOracles:
         # one codeword, r=0: only that vertex is covered, every other
         # vertex shares the empty cover set
         n = 4
-        got = evaluate(Code.from_words([5], n), 0)
+        got = diagnose(Code.from_words([5], n), 0)
         empties = (1 << n) - 1
         assert got.nc == empties
         assert got.ns == empties * (empties - 1) // 2
@@ -65,7 +63,7 @@ class TestEvaluateAgainstOracles:
     def test_full_space_large_radius(self):
         # radius n makes all cover sets equal: every pair collides
         n = 3
-        got = evaluate(full_space(n), n)
+        got = diagnose(full_space(n), n)
         assert got.nc == 0
         assert got.ns == 8 * 7 // 2
 
@@ -78,13 +76,9 @@ class TestEvaluateAgainstOracles:
 
     def test_radius_out_of_range(self):
         with pytest.raises(ValueError):
-            evaluate(Code.from_words([0], 3), 4)
+            diagnose(Code.from_words([0], 3), 4)
         with pytest.raises(ValueError):
-            evaluate(Code.from_words([0], 3), -1)
-
-    def test_evaluation_invariant(self):
-        with pytest.raises(ValueError):
-            Evaluation(nc=1, ns=1, f=3)
+            diagnose(Code.from_words([0], 3), -1)
 
 
 class TestDiagnoseWitnesses:
@@ -231,7 +225,7 @@ class TestFingerprintCollisions:
             else:
                 rep = diagnose(code, r)
                 assert (rep.nc, rep.ns) == oracle_eval(words, n, r)
-                ev = evaluate(code, r)
+                ev = diagnose(code, r)
                 assert (ev.nc, ev.ns) == (rep.nc, rep.ns)
             assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == want
             _assert_real_witnesses(rep, words, n, r, odd_only)
@@ -267,7 +261,7 @@ class TestFingerprintCollisions:
 class TestStaticLimits:
     def test_dimension_beyond_limit_raises_before_allocating(self):
         code = Code.from_words([0], MAX_EVAL_DIM + 1)
-        for call in (evaluate, diagnose, discriminating_report):
+        for call in (diagnose, discriminating_report):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="MAX_EVAL_DIM"):
@@ -332,7 +326,7 @@ class TestTableBuild:
         for _ in range(5):
             code = random_code(rng, n)
             table = SignatureTable.build(code, r)
-            ev = evaluate(code, r)
+            ev = diagnose(code, r)
             assert (table.nc, table.ns, table.f) == (ev.nc, ev.ns, ev.f)
             table.check()
 
@@ -369,13 +363,13 @@ class TestMutations:
         for w in words:
             t.add(int(w))
         t.check()
-        ev = evaluate(Code.from_words(words, n), r)
+        ev = diagnose(Code.from_words(words, n), r)
         assert (t.nc, t.ns) == (ev.nc, ev.ns)
         for w in words[:4]:
             t.remove(int(w))
         t.check()
         rest = Code.from_words(words[4:], n)
-        ev = evaluate(rest, r)
+        ev = diagnose(rest, r)
         assert (t.nc, t.ns) == (ev.nc, ev.ns)
         assert t.words() == sorted(words[4:])
 
@@ -535,7 +529,7 @@ def _static_nc_ns(table):
     if table.size == 0:
         n_verts = 1 << table.dim
         return n_verts, n_verts * (n_verts - 1) // 2
-    ev = evaluate(table.code(), table.radius)
+    ev = diagnose(table.code(), table.radius)
     return ev.nc, ev.ns
 
 
@@ -720,7 +714,7 @@ class TestTableFingerprints:
         t = SignatureTable.build(Code.from_words([0, 3, 12, 15], 4), 1)
         # vertex 1 has cover set {0, 3} and vertex 13 has {12, 15}
         assert t._key_id[1] == t._key_id[13]
-        assert t.f > evaluate(t.code(), 1).f
+        assert t.f > diagnose(t.code(), 1).f
         with pytest.raises(AssertionError):
             t.check()  # the recount is exact, not by fingerprint
 
