@@ -63,7 +63,7 @@ def _finish(args: argparse.Namespace, payload: dict, code: Code, radius: int, co
     if args.out:
         codefile.write_code_file(args.out, code, radius, [comment])
     elif args.json:
-        payload["code"] = list(code.words)
+        payload["code"] = code.array.tolist()
     else:
         sys.stdout.write(codefile.serialize_code(code, radius, [comment, *_lines(payload)]))
         return 0
@@ -242,7 +242,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "nodes": outcome.nodes,
         "start_size": outcome.start_size,
         "infeasible_sizes": list(outcome.infeasible_sizes),
-        "code": None if outcome.code is None else list(outcome.code.words),
+        "code": None if outcome.code is None else outcome.code.array.tolist(),
     })
     if outcome.code is None:
         return 1

@@ -111,8 +111,8 @@ def serialize_code(code: Code, radius: int, comments: Iterable[str] = ()) -> str
     rest = code.array.copy()
     for j in range(width - 1, -1, -1):
         rest, rows[:, j] = np.divmod(rest, 10)
-    keep = np.ones(rows.shape, dtype=bool)  # drop the leading zeros, but not a lone one
-    np.logical_or.accumulate(rows[:, :width - 1] != 0, axis=1, out=keep[:, :width - 1])
+    # keep the columns whose place value is at most the word, and always the ones digit and newline
+    keep = code.array[:, None] >= np.append(10 ** np.arange(width - 1, 0, -1), [0, 0]).astype(np.uint32)
     rows[:, :width] += ord("0")
     return head + rows[keep].tobytes().decode("ascii")
 

@@ -11,8 +11,7 @@ vector written ``110000001`` is simply the integer 385.  Distance is
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -69,13 +68,17 @@ def annulus_offsets(n: int, lo: int, hi: int) -> np.ndarray:
 
 def odd_mask(dim: int) -> np.ndarray:
     """Boolean vector over F^dim, True at the odd-weight words."""
-    return (np.bitwise_count(np.arange(1 << dim, dtype=np.uint32)) & 1) == 1
+    m = np.zeros(1 << dim, dtype=bool)
+    for k in range(dim):  # Thue-Morse: w + 2^k, for w < 2^k, has the other parity
+        np.logical_not(m[:1 << k], out=m[1 << k:2 << k])
+    return m
 
 
 class Code:
     """A nonempty, duplicate-free set of vertices of F^dim, kept sorted.  The
-    words, given as any integer sequence or 1-D array, are stored once as the
-    read-only uint32 ``array``; ``words``, their tuple, is built on first use."""
+    words, given as any integer sequence or 1-D array, are stored only as the
+    read-only uint32 ``array``, which hot code reads; ``words`` builds their
+    tuple of Python ints on each access, at about 36 bytes a word."""
 
     def __init__(self, dim: int, words: Iterable[int] | np.ndarray) -> None:
         _check_dim(dim)
@@ -97,7 +100,7 @@ class Code:
     def __setattr__(self, name, value):
         raise AttributeError(f"Code is immutable; cannot set {name!r}")
 
-    @cached_property
+    @property
     def words(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
 
@@ -122,11 +125,11 @@ class Code:
         return len(self.array)
 
     def __contains__(self, item) -> bool:
-        i = bisect_left(self.words, item)
-        return i < len(self.words) and self.words[i] == item
+        i = np.searchsorted(self.array, item)
+        return bool(i < len(self.array) and self.array[i] == item)
 
     def __iter__(self):
-        return iter(self.words)
+        return iter(self.array.tolist())
 
 
 def full_space(dim: int) -> Code:

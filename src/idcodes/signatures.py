@@ -52,16 +52,17 @@ from .hypercube import Code, ball_offsets, odd_mask
 # at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
 MAX_TABLE_DIM = 20
 
-# Static evaluation peaks near 12 bytes a vertex (tracemalloc: 12.1 MiB at
-# n = 20, 48 MiB at n = 22), or 4 a vertex and 16 a codeword if more: 0.2 GB
-# at 2^24, 0.34 GB for the full space.  A failing code adds up to 40 bytes
-# per (vertex, covering codeword) pair of its candidates, |C| V(n, r) at most.
+# Static evaluation peaks near 11 bytes a vertex plus 4 a codeword (tracemalloc:
+# 12.1 MiB at n = 20, 48 MiB at n = 22, 60 MiB for all of F^22): 0.2 GB at 2^24,
+# 0.25 GB for the full space.  A failing code adds up to 40 bytes per (vertex,
+# covering codeword) pair of its candidates, |C| V(n, r) at most.
 MAX_EVAL_DIM = 24
 
 _EMPTY_ID = 0
 _NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
 _TABLE_FP_SEED = 0x7AB1E5  # the table's marks, apart from the static path's
+_SLICE = 1 << 16  # sorted codewords per fingerprint pass, which then hits a narrow band of vertices
 
 
 def _pairs(k: int) -> int:
@@ -407,16 +408,19 @@ def _table_marks(dim: int) -> np.ndarray:
 
 
 def _fingerprints(words: np.ndarray, marks: np.ndarray, offs: np.ndarray, n_verts: int) -> np.ndarray:
-    """Each vertex's XOR of the marks of the codewords within its ball: one
-    XOR pass per ball offset, as each column words ^ offset is duplicate-free."""
+    """Each vertex's XOR of the marks of the codewords within its ball: one XOR
+    pass per ball offset and slice of the words, each column duplicate-free."""
     fp = np.zeros(n_verts, dtype=marks.dtype)
-    col = np.empty(len(words), dtype=np.intp)  # the index dtype: no cast per scatter
-    hit = np.empty(len(words), dtype=marks.dtype)
-    for off in offs:
-        np.bitwise_xor(words, off, out=col)
-        np.take(fp, col, out=hit, mode="clip")  # in range anyway; "clip" skips a buffered check
-        hit ^= marks
-        fp[col] = hit
+    col = np.empty(min(len(words), _SLICE), dtype=np.intp)  # the index dtype: no cast per scatter
+    hit = np.empty(len(col), dtype=marks.dtype)
+    for lo in range(0, len(words), _SLICE):
+        w, m = words[lo:lo + _SLICE], marks[lo:lo + _SLICE]
+        c, h = col[:len(w)], hit[:len(w)]
+        for off in offs:
+            np.bitwise_xor(w, off, out=c)
+            np.take(fp, c, out=h, mode="clip")  # in range anyway; "clip" skips a buffered check
+            h ^= m
+            fp[c] = h
     return fp
 
 

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from idcodes import Code
@@ -14,6 +16,7 @@ from idcodes.bounds import (
     load_registry,
     lookup,
 )
+from idcodes.codefile import parse_code_text
 from idcodes.exact import min_identifying
 from idcodes.signatures import diagnose
 
@@ -183,6 +186,8 @@ class TestClassification:
         assert len(code) == 110
         assert diagnose(code, 1).identifying
         assert classify_size(1, n, len(code)) == "beats-upper"
+        shipped = parse_code_text(resources.files("idcodes").joinpath("data/code_1_9_110.txt").read_text())
+        assert (shipped.code, shipped.radius) == (code, 1)
 
     def test_exact_cell_has_no_gap(self):
         assert classify_size(1, 4, 7) == "matches-upper"

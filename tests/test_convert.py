@@ -41,6 +41,9 @@ class TestParityHelpers:
             assert len(ev) == 1 << (n - 1)
             assert int(odd_mask(n).sum()) == 1 << (n - 1)
             assert np.flatnonzero(~odd_mask(n)).tolist() == ev
+        for n in range(1, 17):
+            want = (np.bitwise_count(np.arange(1 << n)) & 1) == 1
+            assert np.array_equal(odd_mask(n), want)
 
 
 class TestToDiscriminating:

@@ -235,13 +235,24 @@ class TestCode:
         Code(3, source)
         assert source.flags.writeable  # the caller's array is copied, not frozen
 
-    def test_code_is_immutable_and_builds_its_tuple_once(self):
+    def test_code_is_immutable_and_keeps_only_its_array(self):
         c = Code(3, np.array([1, 2, 4]))
         for name, value in (("dim", 4), ("array", np.arange(3)), ("words", (1, 2))):
             with pytest.raises(AttributeError):
                 setattr(c, name, value)
-        assert c.words == (1, 2, 4) and c.words is c.words
+        assert c.words == (1, 2, 4) and all(type(w) is int for w in c.words)
         assert (c.dim, c.array.tolist()) == (3, [1, 2, 4])
+        assert list(c) == [1, 2, 4] and 4 in c and repr(c) == "Code(dim=3, words=(1, 2, 4))"
+        assert set(vars(c)) == {"dim", "array"}  # no cached copy of the words
+
+    @pytest.mark.parametrize("dim, words", [(3, (1, 2, 4)), (1, (0,)), (9, (0, 7, 300, 511))])
+    def test_membership_matches_the_tuple(self, dim, words):
+        code = Code(dim, words)
+        probes = [-1, 1 << dim, 1 << 40, 1 << 70, 2.0, 2.5, True]
+        for w in words:
+            probes += [w, w - 1, w + 1, np.uint64(w)]
+        for x in probes:
+            assert (x in code) == (x in tuple(code.array.tolist())), x
 
     def test_routes_agree_on_equality_hash_and_repr(self):
         for codes in self._routes():

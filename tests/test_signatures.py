@@ -258,6 +258,23 @@ class TestFingerprintCollisions:
         assert seen == {False, True}  # covered targets at fingerprint 0, and none
 
 
+class TestFingerprintSlices:
+    """The static pass walks the codewords in slices of 2^16; sizes on each
+    side of a slice edge, and a short last slice, match one unsliced pass."""
+
+    @pytest.mark.parametrize("size", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+    def test_sliced_pass_matches_one_xor_at_pass(self, size, rng):
+        n = 19
+        words = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint32)
+        marks = rng.integers(1, 1 << 32, size=size, dtype=np.uint32)
+        for r in (1, 2):
+            offs = ball_offsets(n, r)
+            want = np.zeros(1 << n, dtype=np.uint32)
+            for off in offs:
+                np.bitwise_xor.at(want, words ^ off, marks)
+            assert np.array_equal(signatures._fingerprints(words, marks, offs, 1 << n), want)
+
+
 class TestStaticLimits:
     def test_dimension_beyond_limit_raises_before_allocating(self):
         code = Code.from_words([0], MAX_EVAL_DIM + 1)
