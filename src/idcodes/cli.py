@@ -214,18 +214,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     cf = codefile.read_code_file(args.file)
     r = args.r if args.r is not None else cf.radius
     code = cf.code
-    if args.to == "discriminating":
-        if not args.unchecked and not is_identifying(code, r):
-            return _fail(args, "input code is not identifying")
-        out = convert.to_discriminating(code)
-        ok = args.unchecked or convert.is_discriminating(out, r)
-        note = "parity-extended to the even-weight half"
+    if args.to == "discriminating":  # by the bijection, checking the output checks the input
+        out, note = convert.to_discriminating(code), "parity-extended to the even-weight half"
+        ok, why = args.unchecked or convert.is_discriminating(out, r), "input code is not identifying"
     else:
-        out = convert.to_identifying(code, pos=args.pos)
-        ok = args.unchecked or is_identifying(out, r)
-        note = "coordinate-deleted back to the full space"
+        out, note = convert.to_identifying(code, pos=args.pos), "coordinate-deleted back to the full space"
+        ok, why = args.unchecked or is_identifying(out, r), "converted code failed verification"
     if not ok:
-        return _fail(args, "converted code failed verification")
+        return _fail(args, why)
     payload = {"to": args.to, "n": out.dim, "r": r, "size": len(out), "verified": not args.unchecked}
     return _finish(args, payload, out, r, note)
 

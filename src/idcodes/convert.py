@@ -8,6 +8,13 @@ r-identifying code of F^n bijectively onto such codes of F^{n+1}; deleting
 any single coordinate maps back.  Both directions preserve size because a
 deleted bit of an even-weight vector is recoverable as the parity of the
 rest.
+
+The bijection is exact vertex by vertex: d((x, 1 - p(x)), (c, p(c))) is
+d(x, c) rounded up to an odd number, so for odd r the odd vertex
+(x, 1 - p(x)) has the cover set of x, read through the bijection.
+``discriminating_report`` is therefore one identifying pass in F^n (r = n + 1
+clamps to n: either ball holds everything), with the witnesses mapped by the
+increasing x -> 2x + 1 - p(x), not a pass over F^{n+1}.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hypercube import Code
-from .signatures import VerifyReport, _evaluate_static
+from .signatures import MAX_EVAL_DIM, VerifyReport, _evaluate_static
 
 
 class DiscriminatingReport(VerifyReport):
@@ -37,12 +44,18 @@ def _check_even(code: Code) -> np.ndarray:
 
 
 def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
-    """Nonemptiness/distinctness of odd-vertex cover sets, with witnesses."""
+    """Nonemptiness/distinctness of odd-vertex cover sets, with witnesses, from
+    the identifying pass one dimension down (see the module docstring)."""
     if radius % 2 == 0:
         raise ValueError("the property is defined for odd radii only")
-    words = _check_even(code)
-    return DiscriminatingReport(code.dim, radius, len(code),
-                                *_evaluate_static(words, code.dim, radius, odd_targets=True))
+    words, dim = _check_even(code), code.dim
+    if dim > MAX_EVAL_DIM:
+        raise ValueError(f"dimension {dim} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
+    if not 0 <= radius <= dim:
+        raise ValueError(f"radius {radius} out of range for dim {dim}")
+    nc, ns, uncovered, pair = _evaluate_static(words >> 1, dim - 1, min(radius, dim - 1))
+    odd = [None if x is None else 2 * x + 1 - x.bit_count() % 2 for x in (uncovered, *(pair or (None, None)))]
+    return DiscriminatingReport(dim, radius, len(code), nc, ns, odd[0], None if pair is None else tuple(odd[1:]))
 
 
 def is_discriminating(code: Code, radius: int) -> bool:

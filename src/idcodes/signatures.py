@@ -30,9 +30,11 @@ The table keys its classes by fingerprint, so a collision can merge two
 path is exact: one XOR pass per ball offset (each column codewords ^ offset
 is duplicate-free) gives every vertex its fingerprint, nonzero only if it
 is covered.  One in-place sort of the nonzero fingerprints finds the
-vertices that might share a cover set; a second pass over the offsets, from
-the smaller side, gives only those and the vertices at zero their exact
-cover sets, as sorted rows of codeword indices, which decide every count.
+repeats, and a bool table of their low bits, sized to their number (16
+bits would let 2/5 of F^24 through), picks the vertices that might share
+a cover set.  A second pass over the offsets, from the smaller side, gives
+only those and the vertices at zero their exact cover sets, as sorted rows
+of codeword indices, which decide every count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cache
 
 import numpy as np
 
-from .hypercube import Code, ball_offsets, odd_mask
+from .hypercube import Code, ball_offsets
 
 # Per-vertex tables get big fast; the incremental engine is meant for the
 # search sizes, not for bulk verification (use diagnose for that).  Swap
@@ -52,9 +54,9 @@ from .hypercube import Code, ball_offsets, odd_mask
 # at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
 MAX_TABLE_DIM = 20
 
-# Static evaluation peaks near 11 bytes a vertex plus 4 a codeword (tracemalloc:
-# 12.1 MiB at n = 20, 48 MiB at n = 22, 60 MiB for all of F^22): 0.2 GB at 2^24,
-# 0.25 GB for the full space.  A failing code adds up to 40 bytes per (vertex,
+# Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
+# 10.0 MiB at n = 20, 40 MiB at n = 22, 64 MiB for all of F^22, 175 MiB at n = 24),
+# 0.33 GB for all of F^24.  A failing code adds up to 40 bytes per (vertex,
 # covering codeword) pair of its candidates, |C| V(n, r) at most.
 MAX_EVAL_DIM = 24
 
@@ -427,61 +429,65 @@ def _fingerprints(words: np.ndarray, marks: np.ndarray, offs: np.ndarray, n_vert
 def _cover_pairs(words: np.ndarray, live: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """The sorted pairs vertex << 32 | codeword index of the vertices marked
     `live` and the codewords in their balls, one pass per ball offset from
-    the smaller side: the candidates probe a map of codeword index + 1, or
-    the codewords probe `live`."""
+    the smaller side: the candidates look their ball up in the sorted
+    codewords (``searchsorted``), or the codewords probe `live`."""
     small = np.count_nonzero(live) < len(words)
-    probe, rank = (np.flatnonzero(live), np.zeros(len(live), dtype=np.int32)) if small else (words, live)
-    if small:
-        rank[words] = np.arange(1, len(words) + 1, dtype=np.int32)
+    probe = np.flatnonzero(live).astype(np.uint32) if small else words
     found = []
     for off in offs:
         col = probe ^ off
-        hit = rank[col]
-        at = np.flatnonzero(hit)
-        vertex, index = (probe[at], hit[at] - 1) if small else (col[at], at)
+        at = words.searchsorted(col) if small else None
+        hit = np.flatnonzero(words.take(at, mode="clip") == col if small else live[col])
+        vertex, index = (probe[hit], at[hit]) if small else (col[hit], hit)
         found.append(vertex.astype(np.uint64) << 32 | index.astype(np.uint64))
     found = np.concatenate(found)
     found.sort()
     return found
 
 
-def _evaluate_static(words: np.ndarray, n: int, r: int, odd_targets: bool = False):
-    """nc/ns over the target vertices (all of F^n, or its odd-weight half),
-    plus witnesses following ``VerifyReport``'s rule.
+def _evaluate_static(words: np.ndarray, n: int, r: int):
+    """nc/ns over all of F^n, plus witnesses following ``VerifyReport``'s rule.
 
     Per ball offset, the duplicate-free column words ^ offset XORs the
     codewords' random marks into a 32-bit fingerprint per vertex.  Equal
     cover sets give equal fingerprints and only covered vertices nonzero
-    ones, so if no target is at zero and an in-place sort of the rest finds
+    ones, so if no vertex is at zero and an in-place sort of the rest finds
     no repeat, the pass ends.  Otherwise (a failing code, or chance repeats:
-    about 130 at n = 20, 510 at n = 21) _cover_pairs collects the (vertex,
-    codeword index) pairs of the candidates, the targets at zero and those
-    whose low n bits match a repeat's: at most len(words) * V pairs, which
-    give each covered candidate its exact cover set as a row.  np.unique over
-    the rows of each length gives the classes, and a candidate with no row is
-    uncovered: no count or witness rests on a fingerprint.
+    about 130 at n = 20, 510 at n = 21, 32,000 at n = 24) the candidates are
+    the vertices at zero and those whose fingerprint is a repeat: a table of
+    2^bits bools, bits = min(n, max(16, the repeat count's bit length + 4)),
+    marks the repeats' low bits, which lets at most 1/16 of F^n through by
+    chance unless n caps bits (a fixed 16 bits would pass 2/5 of F^24), and
+    an exact match against the repeats keeps the rest.  _cover_pairs gives each
+    candidate its exact cover set as a sorted row of codeword indices, from
+    at most len(words) * V pairs; np.unique over the rows of each length
+    gives the classes, and a candidate with no row is uncovered: no count
+    or witness rests on a fingerprint.
     """
     if n > MAX_EVAL_DIM:
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
-    n_verts = 1 << n
     offs = ball_offsets(n, r)
-    fp = _fingerprints(words, _marks(len(words)), offs, n_verts)
-    targets = odd_mask(n) if odd_targets else True
-    zero = (fp == 0) & targets  # uncovered, unless their marks cancel out
-    live = (fp != 0) & targets
-    dup = fp[live]
+    fp = _fingerprints(words, _marks(len(words)), offs, 1 << n)
+    zero = fp == 0  # uncovered, unless their marks cancel out
+    covered = not zero.any()
+    dup = fp.copy() if covered else fp[~zero]
     dup.sort()
     dup = dup[1:][dup[1:] == dup[:-1]]
-    if not len(dup) and not zero.any():
+    if not len(dup) and covered:
         return 0, 0, None, None
-    # candidates: the targets at fingerprint 0, and those that share their low n bits with a repeat
-    bucket = np.zeros(n_verts, dtype=bool)
-    bucket[dup & (n_verts - 1)] = True
-    live &= bucket[fp & (n_verts - 1)]
+    bits = min(n, max(16, len(dup).bit_length() + 4))
+    low = np.uint32((1 << bits) - 1)
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[dup & low] = True
+    # at 16 bits, the low halves through a view: no 2^n temporary
+    live = marked[fp.view(np.uint16)[::2] if bits == 16 and np.little_endian else fp & low]
+    cand = np.flatnonzero(live)
+    cand_fp = fp[cand]
+    live[cand] = dup.take(dup.searchsorted(cand_fp), mode="clip") == cand_fp
     live |= zero
     found = _cover_pairs(words, live, offs)
     cand, start, size = np.unique(found >> 32, return_index=True, return_counts=True)
-    zero[cand] = False  # now exactly the uncovered targets
+    zero[cand] = False  # now exactly the uncovered vertices
     nc = int(np.count_nonzero(zero))
     ns = _pairs(nc)  # the uncovered vertices form one exact class
     uncovered = int(np.argmax(zero)) if nc else None

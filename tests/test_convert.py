@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, diagnose, is_identifying
+from idcodes import Code, convert, diagnose, is_identifying, signatures
+from idcodes.cli import main
+from idcodes.codefile import write_code_file
 from idcodes.convert import (
     DiscriminatingReport,
     discriminating_report,
@@ -15,6 +19,7 @@ from idcodes.hypercube import odd_mask
 
 from conftest import (
     brute_cover_sets,
+    brute_report,
     delete_coordinate,
     even_words,
     oracle_identifying,
@@ -157,6 +162,9 @@ class TestBijectionProperty:
         assert (disc.nc, disc.ns) == (rep.nc, rep.ns)
         assert disc.uncovered == (None if rep.uncovered is None else image(rep.uncovered))
         assert disc.unseparated == (None if rep.unseparated is None else tuple(map(image, rep.unseparated)))
+        if code.dim + 1 <= 7:  # the report is a pass in F^n; brute force walks the odd half of F^(n+1)
+            want = brute_report(to_discriminating(code).words, code.dim + 1, r, odd_only=True)
+            assert (disc.nc, disc.ns, disc.uncovered, disc.unseparated) == want
 
 
 class TestDiscriminatingReport:
@@ -218,3 +226,95 @@ class TestDiscriminatingReport:
     def test_radius_beyond_dim_rejected(self):
         with pytest.raises(ValueError):
             discriminating_report(Code.from_words([0], 4), 5)
+
+
+def _report(rep):
+    return rep.nc, rep.ns, rep.uncovered, rep.unseparated
+
+
+class TestBijectionEdges:
+    """discriminating_report is one identifying pass one dimension down; its
+    edges (the smallest dimensions, r = dim, r = dim + 1) still answer for
+    the odd half of F^dim, as brute force over that half says."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_smallest_dimensions(self, dim):
+        evens = even_words(dim)
+        for k in range(1, len(evens) + 1):
+            for words in itertools.combinations(evens, k):
+                for r in range(1, dim + 1, 2):
+                    rep = discriminating_report(Code.from_words(words, dim), r)
+                    assert _report(rep) == brute_report(words, dim, r, odd_only=True)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7])  # r = dim must be odd
+    def test_radius_dim_clamps_to_the_smaller_space(self, dim, rng):
+        evens = even_words(dim)
+        for _ in range(10):
+            k = int(rng.integers(1, min(6, len(evens)) + 1))
+            words = sorted(int(w) for w in rng.choice(evens, size=k, replace=False))
+            rep = discriminating_report(Code.from_words(words, dim), dim)
+            assert _report(rep) == brute_report(words, dim, dim, odd_only=True)
+            # every ball holds the whole code: one class of all 2^(dim-1) odd vertices
+            assert (rep.nc, rep.ns) == (0, (1 << (dim - 1)) * ((1 << (dim - 1)) - 1) // 2)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_radius_past_dim_is_refused(self, dim):
+        with pytest.raises(ValueError, match=rf"^radius {dim + 1} out of range for dim {dim}$"):
+            discriminating_report(Code.from_words([0], dim), dim + 1)
+
+    def test_one_pass_one_dimension_down(self, monkeypatch, rng):
+        calls = []
+        evaluate = convert._evaluate_static
+
+        def spy(words, n, r):
+            calls.append((words.copy(), n, r))
+            return evaluate(words, n, r)
+
+        monkeypatch.setattr(convert, "_evaluate_static", spy)
+        monkeypatch.setattr(signatures, "_evaluate_static", spy)
+        for dim, r in ((5, 1), (5, 3), (5, 5), (8, 3)):
+            calls.clear()
+            evens = even_words(dim)
+            words = sorted(int(w) for w in rng.choice(evens, size=6, replace=False))
+            code = Code.from_words(words, dim)
+            rep = discriminating_report(code, r)
+            assert len(calls) == 1
+            got, n, radius = calls[0]
+            assert (n, radius) == (dim - 1, min(r, dim - 1))
+            assert np.array_equal(got, code.array >> 1)
+            assert _report(rep) == brute_report(words, dim, r, odd_only=True)
+
+
+class TestCliConvertChecksOnce:
+    """`convert --to discriminating` checks only the emitted code: by the
+    bijection that one pass is the input's identifying check."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        evaluate = signatures._evaluate_static
+
+        def spy(words, n, r):
+            calls.append(n)
+            return evaluate(words, n, r)
+
+        monkeypatch.setattr(convert, "_evaluate_static", spy)
+        monkeypatch.setattr(signatures, "_evaluate_static", spy)
+        return calls
+
+    def test_one_static_pass(self, passes, tmp_path, capsys):
+        from idcodes.exact import min_identifying
+
+        path = tmp_path / "c.txt"
+        write_code_file(path, min_identifying(1, 4).code, 1)
+        assert main(["convert", str(path), "--to", "discriminating", "--json"]) == 0
+        assert passes == [4]
+
+    def test_failure_names_the_input(self, passes, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        write_code_file(path, Code.from_words([0, 1], 4), 1)
+        assert main(["convert", str(path), "--to", "discriminating"]) == 1
+        assert capsys.readouterr().out == "error input code is not identifying\n"
+        assert passes == [4]
+        assert main(["convert", str(path), "--to", "discriminating", "--unchecked", "--json"]) == 0
+        assert passes == [4]

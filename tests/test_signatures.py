@@ -163,14 +163,19 @@ class TestCanonicalWitnesses:
         assert {"uncovered", "class"} <= branches
 
 
+def _report(rep):
+    return rep.nc, rep.ns, rep.uncovered, rep.unseparated
+
+
 def _shipped_1_9():
     return parse_code_text(resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()).code
 
 
 class TestExactPassSides:
-    """The exact pass walks from the smaller side: a few candidates probe a
-    codeword-index map, and many are found by the codewords probing the
-    candidate mask.  Either way the counts and witnesses are the oracle's."""
+    """The exact pass walks from the smaller side: a few candidates look
+    their balls up in the sorted codewords (searchsorted), and many are
+    found by the codewords probing the candidate mask.  Either way the
+    counts and witnesses are the oracle's."""
 
     @pytest.mark.parametrize("case,side", [("near", "candidates"), ("sparse", "codewords")])
     def test_each_side_matches_brute_force(self, case, side, monkeypatch, rng):
@@ -200,6 +205,107 @@ class TestExactPassSides:
         assert rep.ns > 0
         assert (rep.nc, rep.ns, rep.uncovered, rep.unseparated) == brute_report(even, dim, r, odd_only=True)
         assert sides == [side, side]
+
+
+class _NumpySpy:
+    """numpy, but np.zeros records the size of each bool array it makes:
+    the static pass makes exactly one, its candidate table."""
+
+    def __init__(self):
+        self.tables = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        if dtype is bool:
+            self.tables.append(shape)
+        return np.zeros(shape, dtype=dtype)
+
+
+def _cover_witnesses_hold(rep, code):
+    words = code.array.astype(np.int64)
+
+    def cover(v):
+        return words[np.bitwise_count(words ^ v) <= rep.radius]
+
+    if rep.uncovered is not None:
+        assert len(cover(rep.uncovered)) == 0
+    if rep.unseparated is not None:
+        a, b = rep.unseparated
+        assert a < b and np.array_equal(cover(a), cover(b))
+
+
+class TestCandidateTable:
+    """The candidates pass a bool table of 2^bits entries at their
+    fingerprints' low bits, bits = min(n, max(16, bit length of the repeat
+    count + 4)).  Marks cut short make repeats enough to reach each size;
+    the counts and witnesses stay those of the full marks (and of brute
+    force where that is affordable)."""
+
+    @staticmethod
+    def _short(monkeypatch, code, r, mark_bits):
+        """diagnose under marks cut to their low `mark_bits` bits, the table
+        sizes it made, and the size the rule gives for its repeats."""
+        marks = signatures._marks
+
+        def short(k):  # the low bits of odd marks: still odd
+            return marks(k) & np.uint32((1 << mark_bits) - 1)
+
+        fp = signatures._fingerprints(code.array, short(len(code)), ball_offsets(code.dim, r), 1 << code.dim)
+        fp = fp[fp != 0]
+        repeats = len(fp) - len(np.unique(fp))
+        spy = _NumpySpy()
+        with monkeypatch.context() as m:
+            m.setattr(signatures, "_marks", short)
+            m.setattr(signatures, "np", spy)
+            rep = diagnose(code, r)
+        return rep, spy.tables, min(code.dim, max(16, repeats.bit_length() + 4))
+
+    def test_bits_is_n_below_16(self, monkeypatch):
+        words = list(_shipped_1_9().words[1:])
+        code = Code.from_words(words, 9)
+        rep, tables, bits = self._short(monkeypatch, code, 1, 6)
+        assert tables == [1 << bits] and bits == 9
+        assert rep.ns > 0 and _report(rep) == _report(diagnose(code, 1)) == brute_report(words, 9, 1)
+
+    @pytest.mark.parametrize("mark_bits,grown", [(24, False), (14, True)])
+    def test_bits_is_16_or_grows_past_it(self, mark_bits, grown, monkeypatch):
+        # n = 17: 24-bit marks leave a few hundred repeats, 14-bit marks
+        # almost every vertex, which a 16-bit table would let through whole
+        code = extend_c1(_shipped_1_9(), 1, 8)
+        damaged = Code(17, np.delete(code.array, 5000))
+        for c in (code, damaged):
+            rep, tables, bits = self._short(monkeypatch, c, 1, mark_bits)
+            assert tables == [1 << bits] and (bits > 16 if grown else bits == 16)
+            assert _report(rep) == _report(diagnose(c, 1))
+            _cover_witnesses_hold(rep, c)
+        assert diagnose(code, 1).identifying and not rep.identifying
+
+    def test_bits_grows_below_n(self, monkeypatch):
+        # n = 19 with 24-bit marks: thousands of repeats, a table past 16 bits but under 2^n
+        code = extend_c1(_shipped_1_9(), 1, 10)
+        damaged = Code(19, np.delete(code.array, 77))
+        rep, tables, bits = self._short(monkeypatch, damaged, 1, 24)
+        assert tables == [1 << bits] and 16 < bits < 19
+        assert _report(rep) == _report(diagnose(damaged, 1)) and not rep.identifying
+        _cover_witnesses_hold(rep, damaged)
+
+    def test_verdicts_stay_small_at_n20_and_n21(self):
+        # the identifying pass and the discriminating one through the
+        # bijection: about 10 bytes a vertex of F^20, no 2^n temporary more
+        code = extend_c1(_shipped_1_9(), 1, 11)
+        disc = to_discriminating(code)
+        for call, c in ((diagnose, code), (discriminating_report, disc)):
+            call(c, 1)  # warm the offset cache
+            tracemalloc.start()
+            try:
+                rep = call(c, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.f == 0
+            assert peak < 11.5 * 2**20, f"{call.__name__} at n = {c.dim} peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestFingerprintCollisions:
