@@ -8,8 +8,10 @@ an r-identifying code in F^n, together with one provenance key per bound.
 Lower bounds are trusted data: their derivations come from prior published
 work and are never recomputed here.  Upper bounds are witnessed by actual
 codes (exact values, heuristic finds, or arithmetic consequences of other
-table cells).  ``check_consistency`` re-verifies every arithmetic relation
-that ties cells together, so a transcription error cannot hide.
+table cells).  ``check_consistency`` re-checks the closed-form cells, the
+symmetry intervals and every relation that ties cells together, so a
+transcription error cannot hide.  ``discriminating_lookup`` reads the
+identifying cell one dimension down (the paper's parity bijection).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .hypercube import Code
-from .signatures import diagnose
+from .signatures import require_identifying
 
 MIN_RADIUS = 1
 MAX_RADIUS = 5
@@ -206,7 +208,7 @@ class ConsistencyReport:
 
 
 def check_consistency() -> ConsistencyReport:
-    """Re-verify every arithmetic relation the registry bounds must satisfy."""
+    """Re-check the closed-form cells, symmetry intervals and relations."""
     table = load_registry()
     checks: list[CheckResult] = []
 
@@ -220,23 +222,6 @@ def check_consistency() -> ConsistencyReport:
                     f"closed-form r={r} n={n}",
                     ok,
                     f"expected exact {want}, table has {rec.lower}..{rec.upper}",
-                )
-            )
-
-    # Identifying/discriminating transposition: parity-extension and
-    # coordinate-deletion turn each kind of code into the other, so the
-    # discriminating cell at dimension n+1 must mirror the identifying
-    # cell at dimension n, for every tabulated odd radius.
-    for (r, n), rec in sorted(table.items()):
-        if r % 2 == 1:
-            mirrored = discriminating_lookup(r, n + 1)
-            ok = mirrored.lower == rec.lower and mirrored.upper == rec.upper
-            checks.append(
-                CheckResult(
-                    f"(1)(2) transposition r={r} n={n}",
-                    ok,
-                    f"discriminating cell (r={r}, n={n + 1}) must mirror "
-                    f"{rec.lower}..{rec.upper}, got {mirrored.lower}..{mirrored.upper}",
                 )
             )
 
@@ -305,9 +290,5 @@ def compare(code: Code, r: int) -> str:
     Raises ValueError when the code fails verification: comparing an
     unverified code against the table would be meaningless.
     """
-    rep = diagnose(code, r)
-    if not rep.identifying:
-        raise ValueError(
-            f"code is not {r}-identifying (nc={rep.nc}, ns={rep.ns}); refusing to classify"
-        )
+    require_identifying(code, r, "code", ValueError)
     return classify_size(r, code.dim, len(code))

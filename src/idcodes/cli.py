@@ -231,20 +231,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     outcome = exact.min_identifying(args.r, args.n, budget=args.budget, cap=args.cap)
-    _emit(args, {
-        "r": args.r,
-        "n": args.n,
-        "minimum": outcome.size,
-        "nodes": outcome.nodes,
-        "start_size": outcome.start_size,
-        "infeasible_sizes": list(outcome.infeasible_sizes),
-        "code": None if outcome.code is None else outcome.code.array.tolist(),
-    })
+    payload = {"r": args.r, "n": args.n, "minimum": outcome.size, "nodes": outcome.nodes,
+               "start_size": outcome.start_size, "infeasible_sizes": list(outcome.infeasible_sizes)}
     if outcome.code is None:
+        _emit(args, {**payload, "code": None})
         return 1
-    if args.out:
-        codefile.write_code_file(args.out, outcome.code, args.r, comments=["exact minimum"])
-    return 0
+    return _finish(args, payload, outcome.code, args.r, "exact minimum")
 
 
 # -- bounds ------------------------------------------------------------------

@@ -28,6 +28,9 @@ numpy pass checks all n! - 1 permutations: it reads the words' images from
 a table of one byte per image and sorts them per permutation with a min/max
 network.  A search keeps its verdicts, at most Σ_{k <= _CANONICAL_DEPTH}
 C(m - 1, k) for m candidates (41,727 at m = 64).  canonical=False: no test.
+
+Each found code is re-checked statically before it is returned, by
+``require_identifying``, ``is_separating`` or ``discriminating_report``.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds
+from . import bounds, convert
 from .hypercube import Code, ball_offsets, ball_size, odd_mask, permute_words
-from .signatures import diagnose
+from .signatures import diagnose, require_identifying
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
 # bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
@@ -303,9 +306,10 @@ def min_identifying(
         record = bounds.load_registry().get((r, n))
         start_size = 1 if record is None else record.lower
     everything = np.ones(1 << n, dtype=bool)
-    return _run_min_search(
-        n, r, everything, everything, False, start_size, budget, canonical
-    )
+    outcome = _run_min_search(n, r, everything, everything, False, start_size, budget, canonical)
+    if outcome.code is not None:
+        require_identifying(outcome.code, r, "exact minimum")
+    return outcome
 
 
 def min_separating(
@@ -330,6 +334,8 @@ def min_separating(
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
     everything = np.ones(1 << p, dtype=bool)
     outcome = _run_min_search(p, k, everything, everything, True, 1, budget, canonical)
+    if outcome.code is not None and not is_separating(outcome.code, k):
+        raise AssertionError(f"exact minimum is not {k}-separating")
     record = bounds.load_registry().get((k, p))
     if outcome.size is not None and record is not None and record.exact:
         if outcome.size not in (record.upper - 1, record.upper):
@@ -360,6 +366,7 @@ def min_discriminating(
         raise ValueError(f"no {r}-discriminating code exists for n={n}: need r <= n - 2")
     _check_cap(n, cap)
     odd = odd_mask(n)
-    return _run_min_search(
-        n, r, ~odd, odd, False, 1 if start_size is None else start_size, budget, canonical
-    )
+    outcome = _run_min_search(n, r, ~odd, odd, False, 1 if start_size is None else start_size, budget, canonical)
+    if outcome.code is not None and not convert.discriminating_report(outcome.code, r).discriminating:
+        raise AssertionError(f"exact minimum is not {r}-discriminating")
+    return outcome

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import is_separating
 from .hypercube import Code, annulus_offsets, direct_sum, full_space
-from .signatures import diagnose
+from .signatures import require_identifying
 
 
 class ExtensionError(ValueError):
@@ -156,13 +156,6 @@ def _check_ranges(r1: int, p: int, r2: int, k: int | None, force: bool) -> None:
         )
 
 
-def _verify(code: Code, radius: int, what: str) -> None:
-    rep = diagnose(code, radius)
-    if not rep.identifying:
-        raise VerificationFailed(f"{what} is not {radius}-identifying (nc={rep.nc}, ns={rep.ns}, "
-                                 f"uncovered={rep.uncovered}, unseparated={rep.unseparated})")
-
-
 def _nonzero_cube(p: int) -> Code:
     return Code.from_words(range(1, 1 << p), p)
 
@@ -170,7 +163,7 @@ def _nonzero_cube(p: int) -> Code:
 def plan_c1(code: Code, r1: int, p: int, r2: int = 0, force: bool = False) -> ExtensionPlan:
     """Plan construction C1; the patch factor is all of F^p except 0^p."""
     _check_ranges(r1, p, r2, None, force)
-    _verify(code, r1, "base code")
+    require_identifying(code, r1, "base code", VerificationFailed)
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
     lo, hi = _band(r1, p, r2, n)
@@ -186,7 +179,7 @@ def plan_c2(
         raise ExtensionError(f"separating factor lives in F^{separ.dim}, expected F^{p}")
     if not is_separating(separ, k):
         raise VerificationFailed(f"factor code is not {k}-separating in F^{p}")
-    _verify(code, r1, "base code")
+    require_identifying(code, r1, "base code", VerificationFailed)
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
     d = r1 + r2 - k
@@ -203,7 +196,7 @@ def apply_plan(plan: ExtensionPlan) -> Code:
         patch = _nonzero_cube(plan.p) if plan.separ is None else plan.separ
         patched = direct_sum(Code(plan.base.dim, plan.y_set), patch)
         out = Code.from_words(np.concatenate((out.array, patched.array)), plan.out_dim)
-    _verify(out, plan.out_radius, "extension output")
+    require_identifying(out, plan.out_radius, "extension output", VerificationFailed)
     return out
 
 

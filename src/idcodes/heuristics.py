@@ -2,9 +2,9 @@
 
 All three work on the incremental ``SignatureTable`` and minimize
 f(C) = nc + ns, which hits zero exactly on identifying codes.  Every code
-any of them emits is re-verified with the independent static evaluator
-before it is returned, so a bookkeeping bug in the incremental engine
-cannot leak an invalid code.
+any of them emits passes ``signatures.require_identifying``, the
+independent static evaluator, before it is returned, so a bookkeeping bug
+in the incremental engine cannot leak an invalid code.
 
 The noising search does local descent over single codeword swaps with an
 additive noise term rho * ln(R) that shrinks to zero along an arithmetic
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import Code
-from .signatures import SignatureTable, is_identifying
+from .signatures import SignatureTable, require_identifying
 
 _NEVER = np.iinfo(np.int64).max  # the score of a word never chosen, noise or not
 
@@ -133,8 +133,7 @@ class _NoisingRun:
         """Current code is identifying: record it, then drop one codeword."""
         while self.table.f == 0:
             code = self.table.code()
-            if not is_identifying(code, self.r):
-                raise AssertionError("incremental engine disagrees with static evaluation")
+            require_identifying(code, self.r, "a code the table scored f = 0")
             self.best_code = code
             self.best_f = 0
             self.sizes.append((len(code), self.iterations))
@@ -239,8 +238,7 @@ def greedy_construct(r: int, n: int, seed: int = 0) -> Code:
         word = int(ties[rng.integers(len(ties))]) if len(ties) > 1 else int(ties[0])
         table.add(word)
     code = table.code()
-    if not is_identifying(code, r):
-        raise AssertionError("incremental engine disagrees with static evaluation")
+    require_identifying(code, r, "a code the table scored f = 0")
     return code
 
 
@@ -260,8 +258,7 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     table = SignatureTable.build(code, r)  # refuses a dimension beyond the table's before any evaluation
-    if not is_identifying(code, r):
-        raise NotIdentifyingError(f"input code is not {r}-identifying")
+    require_identifying(code, r, "input code", NotIdentifyingError)
     rng = np.random.Generator(np.random.PCG64(seed))
     free = table.remove_delta_all()[code.array] == 0
     best: Code = code
@@ -276,8 +273,7 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
             best = table.code()
         for w in reversed(removed):
             table.add(w)
-    if not is_identifying(best, r):
-        raise AssertionError("pruned code failed static verification")
+    require_identifying(best, r, "pruned code")
     return best
 
 

@@ -397,8 +397,13 @@ def _meets(dim: int, radius: int):
 
 
 def _marks(k: int) -> np.ndarray:
-    """k random odd 32-bit fingerprint marks, one per codeword."""
-    return (np.random.PCG64(_FP_SEED).random_raw(k) | np.uint64(1)).astype(np.uint32)
+    """k random odd 32-bit fingerprint marks, one per codeword: the low halves
+    of _SLICE-sized draws, so no k-long uint64 temporary exists."""
+    bits, out = np.random.PCG64(_FP_SEED), np.empty(k, dtype=np.uint32)
+    for lo in range(0, k, _SLICE):
+        out[lo:lo + _SLICE] = bits.random_raw(min(_SLICE, k - lo))
+    out |= np.uint32(1)
+    return out
 
 
 @cache
@@ -542,3 +547,12 @@ def diagnose(code: Code, radius: int) -> VerifyReport:
 def is_identifying(code: Code, radius: int) -> bool:
     """True iff every vertex has a nonempty, unique cover set."""
     return diagnose(code, radius).identifying
+
+
+def require_identifying(code: Code, radius: int, what: str, error: type[Exception] = AssertionError) -> None:
+    """Raise `error`, naming `what` and diagnose's counts and witnesses,
+    unless `code` is `radius`-identifying."""
+    rep = diagnose(code, radius)
+    if not rep.identifying:
+        raise error(f"{what} is not {radius}-identifying (nc={rep.nc}, ns={rep.ns}, "
+                    f"uncovered={rep.uncovered}, unseparated={rep.unseparated})")

@@ -286,7 +286,7 @@ def test_criterion_10_bounds_consistency():
     t0 = time.monotonic()
     report = check_consistency()
     elapsed = time.monotonic() - t0
-    assert len(report.checks) == 109
+    assert len(report.checks) == 55
     assert report.ok, "\n".join(f"{c.name}: {c.detail}" for c in report.failures)
-    assert report.summary() == "109 checks, 0 failures"
+    assert report.summary() == "55 checks, 0 failures"
     assert elapsed < 1.0

@@ -126,11 +126,10 @@ class TestConsistency:
         )
 
     def test_check_count_is_stable(self):
-        # 5 closed-form cells + 54 odd-radius transposition rows
-        # + 10 symmetry pairs + 40 relation rows
+        # 5 closed-form cells + 10 symmetry pairs + 40 relation rows
         report = check_consistency()
-        assert len(report.checks) == 109
-        assert report.summary() == "109 checks, 0 failures"
+        assert len(report.checks) == 55
+        assert report.summary() == "55 checks, 0 failures"
 
     def test_relation_rows_reference_tabulated_cells(self):
         table = load_registry()

@@ -573,7 +573,7 @@ _REPORTS = {
     "extend C2": (0, "extend {base36} --p 3 --k 1 --out {out}"),
     "prune": (0, "prune {code} --out {out}"),
     "convert": (0, "convert {code} --to discriminating --out {out}"),
-    "exact": (0, "exact --r 1 --n 4"),
+    "exact": (0, "exact --r 1 --n 4 --out {out}"),
     "exact out of budget": (1, "exact --r 1 --n 5 --budget 3"),
     "bounds": (0, "bounds"),
     "bounds check": (0, "bounds --check"),
@@ -612,6 +612,7 @@ class TestTextIsThePayload:
         "extend {code} --p 1",
         "prune {code}",
         "convert {code} --to discriminating",
+        "exact --r 1 --n 4",
     ])
     def test_json_is_one_document(self, line, code_74, tmp_path, capsys):
         out = tmp_path / "out.txt"
@@ -627,6 +628,7 @@ class TestTextIsThePayload:
         ("extend {code} --p 1", "--r 1"),
         ("prune {code}", "--r 1"),
         ("convert {code} --to discriminating", "--r 1 --discriminating"),
+        ("exact --r 1 --n 4", "--r 1"),
     ])
     def test_text_stdout_is_a_code_file(self, line, check, code_74, tmp_path, capsys):
         # the redirect `idcodes construct ... > g.txt` must read back as a code

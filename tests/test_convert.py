@@ -307,6 +307,7 @@ class TestCliConvertChecksOnce:
 
         path = tmp_path / "c.txt"
         write_code_file(path, min_identifying(1, 4).code, 1)
+        passes.clear()  # the search's own re-check of its minimum is not convert's
         assert main(["convert", str(path), "--to", "discriminating", "--json"]) == 0
         assert passes == [4]
 

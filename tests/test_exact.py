@@ -509,3 +509,18 @@ class TestOutcomeShape:
         assert got.size == len(got.code)
         assert got.nodes > 0
         assert got.start_size <= got.size
+
+
+class TestFoundCodesAreReChecked:
+    """A code the bitset search hands back passes a static check of its
+    property before it is returned, so a search fault cannot leak one."""
+
+    @pytest.mark.parametrize("search,prop", [
+        (lambda: min_identifying(1, 4), "1-identifying"),
+        (lambda: min_separating(3, 1), "1-separating"),
+        (lambda: min_discriminating(1, 4), "1-discriminating"),
+    ], ids=["identifying", "separating", "discriminating"])
+    def test_a_non_code_raises(self, search, prop, monkeypatch):
+        monkeypatch.setattr(exact._Searcher, "search_size", lambda self, size: (0,))
+        with pytest.raises(AssertionError, match=f"exact minimum is not {prop}"):
+            search()

@@ -247,7 +247,7 @@ class TestPrune:
         def refuse(code, r):
             raise AssertionError("evaluated a code the table cannot take")
 
-        monkeypatch.setattr(heuristics, "is_identifying", refuse)
+        monkeypatch.setattr(heuristics, "require_identifying", refuse)
         with pytest.raises(ValueError, match="table dim"):
             prune(Code.from_words([0, 1], MAX_TABLE_DIM + 1), 1)
 

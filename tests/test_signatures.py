@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, full_space, signatures
+from idcodes import Code, bounds, extend, full_space, heuristics, signatures
 from idcodes.codefile import parse_code_text, read_code_file, write_code_file
 from idcodes.convert import discriminating_report, to_discriminating
 from idcodes.extend import extend_c1
@@ -379,6 +379,67 @@ class TestFingerprintSlices:
             for off in offs:
                 np.bitwise_xor.at(want, words ^ off, marks)
             assert np.array_equal(signatures._fingerprints(words, marks, offs, 1 << n), want)
+
+
+class TestMarks:
+    """The static marks are drawn in 2^16-word batches: the same marks as
+    one draw, without its k-long uint64 temporary."""
+
+    @pytest.mark.parametrize("k", [1, 5, 1 << 16, (1 << 16) + 3, 1 << 20])
+    def test_batches_match_the_one_shot_draw(self, k):
+        want = (np.random.PCG64(signatures._FP_SEED).random_raw(k) | np.uint64(1)).astype(np.uint32)
+        got = signatures._marks(k)
+        assert got.dtype == np.uint32 and np.array_equal(got, want)
+
+    def test_peak_is_near_the_four_bytes_a_mark_kept(self):
+        k = 1 << 22
+        tracemalloc.start()
+        try:
+            signatures._marks(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * k
+
+
+def _verdict(code, r):
+    rep = diagnose(code, r)
+    return f"is not {r}-identifying (nc={rep.nc}, ns={rep.ns}, uncovered={rep.uncovered}, unseparated={rep.unseparated})"
+
+
+class TestOneVerifyExit:
+    """Every verify-and-raise site goes through ``require_identifying``: its
+    own exception type, with diagnose's counts and witnesses."""
+
+    @pytest.mark.parametrize("site,error", [
+        (lambda code: heuristics.prune(code, 1), heuristics.NotIdentifyingError),
+        (lambda code: extend.plan_c1(code, 1, 2), extend.VerificationFailed),
+        (lambda code: bounds.compare(code, 1), ValueError),
+    ], ids=["prune", "plan_c1", "compare"])
+    def test_user_input_sites(self, site, error):
+        bad = Code.from_words([0, 1, 6], 4)
+        with pytest.raises(error) as exc:
+            site(bad)
+        assert type(exc.value) is error
+        assert _verdict(bad, 1) in str(exc.value)
+
+    @pytest.mark.parametrize("site", [
+        lambda: heuristics.greedy_construct(1, 4, seed=0),
+        lambda: heuristics.noising_search(1, 4, heuristics.NoisingParams(target_size=8, rho_init=3.0, seed=1)),
+        lambda: heuristics.prune(full_space(4), 1),
+    ], ids=["greedy_construct", "noising_search", "prune"])
+    def test_internal_sites_catch_a_table_that_drops_a_word(self, site, monkeypatch):
+        dropped = []
+
+        def code(table):
+            dropped.append(Code.from_words(table.words()[1:], table.dim))
+            return dropped[-1]
+
+        monkeypatch.setattr(SignatureTable, "code", code)
+        with pytest.raises(AssertionError) as exc:
+            site()
+        assert type(exc.value) is AssertionError
+        assert _verdict(dropped[-1], 1) in str(exc.value)
 
 
 class TestStaticLimits:
