@@ -108,12 +108,10 @@ class _NoisingRun:
         self.params = params
         self.stop_size = stop_size
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
-        words = self.rng.choice(1 << n, size=params.target_size, replace=False)
-        self.table = SignatureTable(n, r)
+        start = Code.from_words(self.rng.choice(1 << n, size=params.target_size, replace=False), n)
+        self.table = SignatureTable.build(start, r)
         # the visit cycle: a swap keeps its position, a shrink empties one
-        self.order: list[int | None] = sorted(words.tolist())
-        for w in self.order:
-            self.table.add(w)
+        self.order: list[int | None] = start.array.tolist()
         self.iterations = 0
         self.trace: list[int] = [self.table.f]
         self.best_f = self.table.f

@@ -15,11 +15,11 @@ Two evaluation paths are provided and cross-checked in the test suite:
 
 * ``SignatureTable`` — a mutable table updated ball by ball under codeword
   addition and removal, or built from a code in one pass (``build``).
-  Once asked for a score it keeps two per-word vectors that give the
-  f-change of every addition (``add_delta_all``) or swap of one codeword
-  (``swap_deltas``, which mutates nothing), at O(2^n) per move;
-  ``remove_delta_all`` scores every removal in one pass.  This is what the
-  local-search constructions iterate on.
+  Once asked for a score it reads two per-word vectors off its classes,
+  which give the f-change of every addition (``add_delta_all``) or swap
+  of one codeword (``swap_deltas``, which mutates nothing), and keeps them
+  at O(2^n) per move; ``remove_delta_all`` scores every removal in one
+  pass.  This is what the local-search constructions iterate on.
 * ``diagnose`` — a static vectorized pass over all of F^n, used for
   one-shot verification up to dimension MAX_EVAL_DIM, with witnesses.
 
@@ -51,7 +51,8 @@ from .hypercube import Code, ball_offsets
 # search sizes, not for bulk verification (use diagnose for that).  Swap
 # scores also read a ball-intersection table, cached per (n, r): V(V - 1)
 # int32 offsets, two pad rows per row width and a 2^n int32 index, 4.2 MB
-# at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).
+# at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).  A move scatters (V + 2^n) V
+# entries at most, and its pairs across the ball through that table _CHUNK at a time.
 MAX_TABLE_DIM = 20
 
 # Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
@@ -65,6 +66,7 @@ _NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
 _TABLE_FP_SEED = 0x7AB1E5  # the table's marks, apart from the static path's
 _SLICE = 1 << 16  # sorted codewords per fingerprint pass, which then hits a narrow band of vertices
+_CHUNK = 1 << 20  # index entries per scatter over ball intersections (_add_meets)
 
 
 def _pairs(k: int) -> int:
@@ -84,7 +86,8 @@ class SignatureTable:
     2^n live fingerprints with probability 2^-63 (the marks are odd), so it
     collides with probability about V 2^n / 2^63 at most.  Either way the
     classes are the vertices grouped by the fingerprint of their exact
-    cover set, which is how ``build`` makes them in one pass.  ``check``
+    cover set, which is how ``build`` makes them in one pass; a move skips
+    the regrouping where each vertex of the ball has its own class.  ``check``
     recounts exactly.  Membership is ``word_mask`` and ``size``.  Mutate
     or score from one thread at a time (scores share a scratch array).
     """
@@ -95,6 +98,8 @@ class SignatureTable:
         self.dim, self.radius = dim, radius
         n_verts = 1 << dim
         self._offsets = ball_offsets(dim, radius)
+        self._ones = np.ones(len(self._offsets), dtype=np.int64)  # _group's counts when the ball's ids are distinct
+        self._ones.flags.writeable = False
         self._mark = _table_marks(dim)
         self._key_id = np.zeros(n_verts, dtype=np.int64)
         ids = n_verts + 2 + len(self._offsets)  # 2^n live classes at most, V more mid-move
@@ -151,15 +156,21 @@ class SignatureTable:
     def _group(self, word: int):
         """B(word), each vertex's index into its distinct class ids `old`,
         their counts in it, and each K ^ {word}: fingerprint and id (_NO_ID
-        where it is no class yet)."""
+        where it is no class yet).  Distinct ids (usual near f = 0) stay in
+        ball order as `old`, with no index (None) and counts of one."""
         ball = self._offsets ^ word
-        group: dict[int, int] = {}
-        inv = np.fromiter([group.setdefault(cid, len(group)) for cid in self._key_id[ball].tolist()],
-                          dtype=np.int64, count=len(ball))
-        old = np.fromiter(group, dtype=np.int64, count=len(group))
+        old = self._key_id[ball]
+        cids = old.tolist()
+        if len(set(cids)) == len(cids):
+            inv, moved = None, self._ones
+        else:
+            group: dict[int, int] = {}
+            inv = np.fromiter([group.setdefault(cid, len(group)) for cid in cids], dtype=np.int64, count=len(ball))
+            old = np.fromiter(group, dtype=np.int64, count=len(group))
+            moved = np.bincount(inv)
         fps = self._fp[old] ^ self._mark[word]
         new = np.fromiter([self._ids.get(fp, _NO_ID) for fp in fps.tolist()], dtype=np.int64, count=len(old))
-        return ball, inv, old, np.bincount(inv), fps, new
+        return ball, inv, old, moved, fps, new
 
     def _move_ball(self, grouped) -> np.ndarray:
         """Move each class K of B(word) to K ^ {word}, given _group(word);
@@ -177,7 +188,7 @@ class SignatureTable:
         size = self._count[new]  # after the old update: under a collision a new id can be an old one
         self.ns += int(moved @ (size - left))
         self._count[new] = size + moved
-        self._key_id[ball] = new[inv]
+        self._key_id[ball] = new if inv is None else new[inv]
         dead = old[(self._count[old] == 0) & (old != _EMPTY_ID)]
         if len(dead):
             for fp in self._fp[dead].tolist():
@@ -201,16 +212,21 @@ class SignatureTable:
         left = self._move_ball(grouped)
         if self._delta is not None:  # the old classes are those of the table without `word`
             (t, lin), (t0, p) = self._terms(ball, inv, old, moved, left), self._delta
-            t0 -= t  # in place, as is P: every vector handed out is a copy
-            p += t * (t - (1 + int(moved @ (old == _EMPTY_ID)))) - lin
+            p -= lin  # in place, as is T0: every vector handed out is a copy
+            uncovered = int(moved @ (old == _EMPTY_ID))
+            if uncovered:  # else t is 0
+                t0 -= t
+                p += t * (t - (1 + uncovered))
 
     def remove(self, word: int) -> None:
         """Remove a codeword."""
         _, _, gone, grouped, _, terms = self._removal(word, self._delta is not None)
         if terms is not None:  # as swap_deltas(word) left them, or afresh
             (t, lin), (t0, p) = terms, self._delta
-            t0 += t
-            p += lin - t * (t - (1 + gone))
+            p += lin
+            if gone:  # else t is 0
+                t0 += t
+                p -= t * (t - (1 + gone))
         self._move_ball(grouped)
         self._word_mask[word] = False
         self.size -= 1
@@ -242,9 +258,9 @@ class SignatureTable:
         """
         a, b = self._score_vectors()
         _, d_remove, gone, _, _, (t, lin) = self._removal(word, True)
-        out = a + t * b
-        out += lin + d_remove
-        if gone:
+        out = a + lin + d_remove
+        if gone:  # else t is 0
+            out += t * b
             out -= gone * self._delta[0]
         return out
 
@@ -259,27 +275,40 @@ class SignatureTable:
         return self._scores
 
     def _start_tracking(self) -> None:
-        # T0 and P depend only on the classes, so adding the codewords to an
-        # empty table, where T0 = V and P = 0, rebuilds them
-        replay = SignatureTable(self.dim, self.radius)
-        replay._delta = (np.full(1 << self.dim, len(self._offsets)), np.zeros(1 << self.dim, dtype=np.int64))
-        replay._slot = np.zeros(len(self._count), dtype=np.int32)  # _terms' scratch, zero between calls
-        for word in self.words():
-            replay.add(word)
-        self._delta, self._slot = replay._delta, replay._slot
+        # from the classes, P = 2 Q - Cn: over its ball each covered vertex takes 1
+        # off T0 = V and its class size off P, and each pair sharing a class, found
+        # at its gap in the covered vertices sorted by class, adds 2 over B(a) ∩ B(b)
+        n_verts, cid = 1 << self.dim, self._key_id
+        covered = np.flatnonzero(cid != _EMPTY_ID)
+        covered = covered[cid[covered].argsort()]
+        cls = cid[covered]
+        size, twice_q = self._count[cls], np.zeros(3 * n_verts, dtype=np.int64)
+        t0, p = np.full(n_verts, len(self._offsets)), np.zeros(n_verts, dtype=np.int64)
+        for off in self._offsets:
+            ball = covered ^ off  # no repeats for one offset
+            t0[ball] -= 1
+            p[ball] -= size
+        for gap in range(1, len(covered)):
+            same = np.flatnonzero(cls[gap:] == cls[:-gap])
+            if not len(same):
+                break
+            _add_meets(twice_q, covered[same], covered[same + gap], self.dim, self.radius)
+        p += twice_q[:n_verts]
+        self._delta = (t0, p)
+        self._slot = np.zeros(len(self._count), dtype=np.int32)  # _terms' scratch, zero between calls
 
     def _terms(self, ball, inv, base, k1, k2):
         """(t, lin) of one codeword over each B(s): adding it changes T0 by
         -t and P by t (t - 1 - L) - lin; removing it undoes that.
 
-        ball[i] is in class base[inv[i]] of the table without the codeword,
-        class j has k1[j] members in the ball and k2[j] outside it, and the
-        codeword splits each nonempty class into those parts.  t counts the
-        L uncovered vertices of the ball in B(s); lin = 2 cross - shrunk,
-        shrunk summing the part each covered vertex in B(s) loses and cross
-        counting the pairs in B(s) across the ball's boundary that did share
-        a class.  One scatter of the rows gives t and -shrunk, and the cross
-        pairs add theirs.
+        ball[i] is in class base[inv[i]] (base[i] if inv is None) of the
+        table without the codeword, class j has k1[j] members in the ball
+        and k2[j] outside it, and the codeword splits each nonempty class
+        into those parts.  t counts the L uncovered vertices of the ball in
+        B(s); lin = 2 cross - shrunk, shrunk summing the part each covered
+        vertex in B(s) loses and cross counting the pairs in B(s) across the
+        ball's boundary that did share a class.  One scatter of the rows
+        gives t and -shrunk, and the cross pairs add theirs.
         """
         n_verts = 1 << self.dim
         uncovered, slot = base == _EMPTY_ID, self._slot
@@ -290,17 +319,15 @@ class SignatureTable:
         outside = member.nonzero()[0]
         weight = -k2
         weight[uncovered] = 1
-        # the rows of the uncovered vertices land in the second third, t
-        rows, weight = ball ^ (uncovered * n_verts)[inv], weight[inv]
+        lift = uncovered * n_verts  # the rows of the uncovered vertices land in the second third, t
+        if inv is not None:
+            lift, weight = lift[inv], weight[inv]
+        rows = ball ^ lift
         out = np.zeros(3 * n_verts, dtype=np.int64)  # the last third takes the pads of _meets
         if len(outside):
-            jo = member[outside] - 1
-            ia, ib = (inv[:, None] == jo).nonzero()  # jo holds no uncovered class
-            a = ball[ia]
-            index, blocks = _meets(self.dim, self.radius)
-            row = index[a ^ outside[ib]]
-            for shift, block in blocks:
-                np.add.at(out, a[:, None] ^ block.take(row - shift, axis=0, mode="clip"), 2)
+            jo = member[outside] - 1  # jo holds no uncovered class; with no index, ball[j] is class j's
+            ia, ib = (jo, slice(None)) if inv is None else (inv[:, None] == jo).nonzero()
+            _add_meets(out, ball[ia], outside[ib], self.dim, self.radius)
             rows, weight = np.concatenate((rows, outside)), np.concatenate((weight, -k1[jo]))
         np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), weight.repeat(len(self._offsets)))
         return out[n_verts:2 * n_verts], out[:n_verts]
@@ -367,6 +394,17 @@ class SignatureTable:
         assert set(self._ids.items()) == live, "the fingerprint map disagrees with the classes"
         assert not set(self._free[: self._top].tolist()) & set(self._ids.values()), "a live id is free"
         assert self.ns == sum(_pairs(c) for c in counted.values())
+
+
+def _add_meets(out: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, radius: int) -> None:
+    """Add 2 to `out` over B(a) ∩ B(b) for each pair (a, b), through _meets,
+    in scatters of at most _CHUNK index entries; the pads land past 2^(dim+1)."""
+    index, blocks = _meets(dim, radius)
+    row = index[a ^ b]
+    for shift, block in blocks:
+        step = max(1, _CHUNK // block.shape[1])
+        for lo in range(0, len(a), step):
+            np.add.at(out, a[lo:lo + step, None] ^ block.take(row[lo:lo + step] - shift, axis=0, mode="clip"), 2)
 
 
 @cache

@@ -26,6 +26,11 @@ re-scores every candidate from scratch (gather each ball's class ids and
 row-sort them), and ``scalar_add_delta`` scores one candidate by counting.
 ``full_swap_deltas`` stands in for ``SignatureTable.swap_deltas``: it
 removes the codeword for real, runs the full pass, and puts it back.
+``replay_tracking`` is how the table first started its scores, T0 and P:
+it adds every codeword to an empty table that tracks them from the start.
+Its moves assume that no class merges and no covered vertex reads as
+uncovered, so under forced fingerprint collisions it can drift from the
+classes, which ``full_add_delta_all`` reads as they are.
 ``cover_set`` and ``class_counts`` read a table's classes through the
 brute-force cover sets of their vertices, and ``collide_table_marks``
 forces fingerprint collisions on the table.
@@ -183,6 +188,18 @@ def full_swap_deltas(table, word):
     out = table.f - f_before + full_add_delta_all(table)
     table.add(word)
     return out
+
+
+def replay_tracking(table):
+    """A table of the same code whose ``_delta`` holds (T0, P), made by adding
+    the codewords one by one to an empty table, where T0 = V and P = 0."""
+    n_verts = 1 << table.dim
+    replay = SignatureTable(table.dim, table.radius)
+    replay._delta = (np.full(n_verts, len(replay._offsets)), np.zeros(n_verts, dtype=np.int64))
+    replay._slot = np.zeros(len(replay._count), dtype=np.int32)  # _terms' scratch
+    for word in table.words():
+        replay.add(word)
+    return replay
 
 
 def reference_prune(code, r, restarts=16, seed=0):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -206,6 +207,24 @@ class TestGreedy:
             greedy_construct(0, 4)
         with pytest.raises(ValueError):
             greedy_construct(4, 4)
+
+
+class TestLargeRadius:
+    """At r = 4 the classes early in greedy are large: the scatters over
+    ball intersections go in bounded chunks, with the same code."""
+
+    # greedy_construct(4, 10, seed=0), as recorded before the chunking
+    GREEDY_4_10 = "9d9c228c6961bd1788ba5af674dc71d05010bce23173df2ded93c536cb257528"
+
+    def test_greedy_peak_stays_small(self):
+        tracemalloc.start()
+        try:
+            code = greedy_construct(4, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code_digest(code) == self.GREEDY_4_10
+        assert peak < 32 << 20  # 102 MiB with one scatter of every cross pair
 
 
 class TestPrune:
@@ -440,8 +459,8 @@ class TestNoisingSameSeed:
         accepted = len(rep.trace) - 1
         shrinks = len(rep.sizes_achieved)  # each found code drops one word
         assert 0 < accepted < rep.iterations_used
-        # the initial adds, a removal and an add per accepted swap, the shrinks
-        assert sum(t is run.table for t in moved) == size + 2 * accepted + shrinks
+        # a removal and an add per accepted swap, the shrinks: the start is one build
+        assert sum(t is run.table for t in moved) == 2 * accepted + shrinks
 
     @pytest.mark.parametrize("r,n,size,calls", [(1, 6, 21, 968), (2, 6, 10, 1153)])
     def test_one_scatter_per_visit_and_per_accepted_add(self, r, n, size, calls, monkeypatch):
@@ -455,8 +474,32 @@ class TestNoisingSameSeed:
         # each visit scatters its codeword once, an accepted swap's removal
         # reuses that scatter and its add makes one, and so does each shrink
         assert sum(t is run.table for t in scattered) == rep.iterations_used + accepted + shrinks == calls
-        # the rest: the replay that starts the scores adds the first visit's code
-        assert len(scattered) - calls == size
+        # and nothing else: the scores start from the classes, with no replay
+        assert len(scattered) - calls == 0
+
+
+class TestGroupBranches:
+    """_group skips the regrouping when the ball's class ids are distinct;
+    greedy and noising each take both branches and leave exact tables."""
+
+    def test_both_branches_run(self, monkeypatch):
+        distinct = []
+        group = SignatureTable._group
+
+        def spy(self, word):
+            grouped = group(self, word)
+            distinct.append(grouped[1] is None)
+            return grouped
+
+        monkeypatch.setattr(SignatureTable, "_group", spy)
+        code = greedy_construct(2, 8, seed=0)
+        assert set(distinct) == {False, True} and diagnose(code, 2).f == 0
+        distinct.clear()
+        run = _NoisingRun(1, 7, _small_run(1, 7, 40), None)
+        run.run()
+        assert set(distinct) == {False, True}
+        run.table.check()
+        assert np.array_equal(run.table.add_delta_all(), full_add_delta_all(run.table))
 
 
 class TestSearchUnderFingerprintCollisions:

@@ -27,8 +27,10 @@ from conftest import (
     collide_table_marks,
     cover_set,
     full_add_delta_all,
+    full_swap_deltas,
     oracle_eval,
     random_code,
+    replay_tracking,
     scalar_add_delta,
 )
 
@@ -844,7 +846,7 @@ class TestSwapDeltas:
                             lambda self, word: grouped.append(word) or group(self, word))
         monkeypatch.setattr(SignatureTable, "_terms",
                             lambda self, *a: scattered.append(self) or terms(self, *a))
-        t.add_delta_all()  # builds the score state on a replay table
+        t.add_delta_all()  # builds the score state
         grouped.clear()
         scattered.clear()
         a, b = t.words()[:2]
@@ -859,6 +861,57 @@ class TestSwapDeltas:
         assert grouped == [a, b, c, b] and len(scattered) == 4
         assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
         t.check()
+
+
+class TestScoresFromTheClasses:
+    """_start_tracking reads T0 and P off the classes; the replay of every
+    codeword into an empty table, which it replaced, is the reference
+    wherever the replay itself stays exact, and the full pass everywhere."""
+
+    @pytest.mark.parametrize("flat", [None, False, True])  # None: the table's own marks
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_start_equals_the_replay(self, flat, data):
+        r, n = data.draw(st.sampled_from([(1, 6), (2, 6), (3, 7), (4, 8)]), label="cell")
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                   max_size=min(40, 1 << n), unique=True), label="words")
+        with pytest.MonkeyPatch.context() as mp:
+            if flat is not None:
+                collide_table_marks(mp, flat)
+            t = SignatureTable.build(Code.from_words(words, n), r)
+            for _ in range(data.draw(st.integers(0, 4), label="moves")):  # a table mid-search
+                if t.size > 1 and data.draw(st.booleans(), label="remove"):
+                    t.remove(data.draw(st.sampled_from(t.words()), label="removed word"))
+                elif t.size < 1 << n:
+                    t.add(data.draw(st.sampled_from(np.flatnonzero(~t.word_mask).tolist()), label="word"))
+            t._start_tracking()
+            assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+            replay = replay_tracking(t)
+            exact = np.array_equal(replay.add_delta_all(), full_add_delta_all(replay))
+            assert exact or flat is not None  # only a forced collision makes the replay drift
+            if exact:
+                assert all(np.array_equal(got, ref) for got, ref in zip(t._delta, replay._delta))
+
+    def test_a_collision_that_uncovers_leaves_the_start_on_the_classes(self, monkeypatch):
+        # flat marks: vertices 0 and 1, covered twice, read as uncovered; the
+        # replay, which only ever covers vertices on an add, misses that
+        collide_table_marks(monkeypatch, flat=True)
+        t = SignatureTable.build(Code.from_words([0, 1], 6), 1)
+        replay = replay_tracking(t)
+        assert t.add_delta_all()[2] != replay.add_delta_all()[2]
+        assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+
+    @pytest.mark.parametrize("n,r", [(7, 1), (8, 3)])
+    def test_one_pair_per_scatter_changes_no_score(self, n, r, monkeypatch, rng):
+        monkeypatch.setattr(signatures, "_CHUNK", 1)  # below one row: a scatter per pair and block
+        t = SignatureTable.build(random_code(rng, n, kmin=8, kmax=30), r)
+        assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
+        for _ in range(6):
+            word, outside = int(rng.choice(t.words())), ~t.word_mask
+            assert np.array_equal(t.swap_deltas(word)[outside], full_swap_deltas(t, word)[outside])
+            t.remove(word)
+            t.add(int(rng.choice(np.flatnonzero(~t.word_mask))))
+            assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
 
 
 class TestTableFingerprints:
