@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .hypercube import Code
+from .hypercube import ODD_RADII, Code
 from .signatures import require_identifying
 
 MIN_RADIUS = 1
@@ -129,7 +129,7 @@ def discriminating_lookup(r: int, n: int) -> BoundRecord:
     dimension down.  Defined for odd r only.
     """
     if r % 2 == 0:
-        raise ValueError("discriminating bounds are defined for odd radii only")
+        raise ValueError(f"discriminating bounds are {ODD_RADII}")
     return lookup(r, n - 1)
 
 

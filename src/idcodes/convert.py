@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypercube import Code
+from .hypercube import ODD_RADII, Code
 from .signatures import MAX_EVAL_DIM, VerifyReport, _evaluate_static
 
 
@@ -47,7 +47,7 @@ def discriminating_report(code: Code, radius: int) -> DiscriminatingReport:
     """Nonemptiness/distinctness of odd-vertex cover sets, with witnesses, from
     the identifying pass one dimension down (see the module docstring)."""
     if radius % 2 == 0:
-        raise ValueError("the property is defined for odd radii only")
+        raise ValueError(f"the property is {ODD_RADII}")
     words, dim = _check_even(code), code.dim
     if dim > MAX_EVAL_DIM:
         raise ValueError(f"dimension {dim} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")

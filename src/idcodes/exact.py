@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, convert
-from .hypercube import Code, ball_offsets, ball_size, odd_mask, permute_words
+from .hypercube import ODD_RADII, Code, ball_offsets, ball_size, odd_mask, permute_words
 from .signatures import diagnose, require_identifying
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
@@ -359,7 +359,7 @@ def min_discriminating(
     so the result is independent of the identifying tables.  For n >= 2
     a code exists only when r <= n - 2.  canonical: as for min_identifying."""
     if r % 2 == 0:
-        raise ValueError("the property is defined for odd radii only")
+        raise ValueError(f"the property is {ODD_RADII}")
     if not 1 <= r <= n:
         raise ValueError(f"radius {r} out of range for dim {n}")
     if 2 <= n < r + 2:

@@ -21,6 +21,8 @@ import numpy as np
 # are uint32, which astype wraps silently past 32 bits, and codefile copies the
 # cap at import.  At 30, every word and 2^dim also fit a signed 32-bit int.
 MAX_DIM = 30
+ODD_RADII = ("defined for odd radii only: for even r the property equals the one at r - 1, since an odd vertex "
+             "and an even codeword are always at odd distance")
 
 
 def _check_dim(dim: int) -> None:

@@ -47,12 +47,10 @@ import numpy as np
 
 from .hypercube import Code, ball_offsets
 
-# Per-vertex tables get big fast; the incremental engine is meant for the
-# search sizes, not for bulk verification (use diagnose for that).  Swap
-# scores also read a ball-intersection table, cached per (n, r): V(V - 1)
-# int32 offsets, two pad rows per row width and a 2^n int32 index, 4.2 MB
-# at (1, 20), 41 kB at (2, 12) and 11.5 MB at (3, 20).  A move scatters (V + 2^n) V
-# entries at most, and its pairs across the ball through that table _CHUNK at a time.
+# Per-vertex tables get big fast; the incremental engine is meant for the search sizes, not
+# for bulk verification (use diagnose for that).  Swap scores also read a ball-intersection
+# table, cached per (n, r): V(V - 1) int32 offsets, one block per row width, and a 2^n int32
+# index: 4.2 MB at (1, 20), 41 kB at (2, 12), 11.5 MB at (3, 20).  A move scatters (V + 2^n) V entries at most.
 MAX_TABLE_DIM = 20
 
 # Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
@@ -282,8 +280,7 @@ class SignatureTable:
         covered = np.flatnonzero(cid != _EMPTY_ID)
         covered = covered[cid[covered].argsort()]
         cls = cid[covered]
-        size, twice_q = self._count[cls], np.zeros(3 * n_verts, dtype=np.int64)
-        t0, p = np.full(n_verts, len(self._offsets)), np.zeros(n_verts, dtype=np.int64)
+        size, t0, p = self._count[cls], np.full(n_verts, len(self._offsets)), np.zeros(n_verts, dtype=np.int64)
         for off in self._offsets:
             ball = covered ^ off  # no repeats for one offset
             t0[ball] -= 1
@@ -292,8 +289,7 @@ class SignatureTable:
             same = np.flatnonzero(cls[gap:] == cls[:-gap])
             if not len(same):
                 break
-            _add_meets(twice_q, covered[same], covered[same + gap], self.dim, self.radius)
-        p += twice_q[:n_verts]
+            _add_meets(p, covered[same], covered[same + gap], self.dim, self.radius)
         self._delta = (t0, p)
         self._slot = np.zeros(len(self._count), dtype=np.int32)  # _terms' scratch, zero between calls
 
@@ -308,7 +304,7 @@ class SignatureTable:
         B(s); lin = 2 cross - shrunk, shrunk summing the part each covered
         vertex in B(s) loses and cross counting the pairs in B(s) across the
         ball's boundary that did share a class.  One scatter of the rows
-        gives t and -shrunk, and the cross pairs add theirs.
+        gives -shrunk and t, the halves of one buffer; the cross pairs add theirs.
         """
         n_verts = 1 << self.dim
         uncovered, slot = base == _EMPTY_ID, self._slot
@@ -319,18 +315,18 @@ class SignatureTable:
         outside = member.nonzero()[0]
         weight = -k2
         weight[uncovered] = 1
-        lift = uncovered * n_verts  # the rows of the uncovered vertices land in the second third, t
+        lift = uncovered * n_verts  # the rows of the uncovered vertices land in the second half, t
         if inv is not None:
             lift, weight = lift[inv], weight[inv]
         rows = ball ^ lift
-        out = np.zeros(3 * n_verts, dtype=np.int64)  # the last third takes the pads of _meets
+        out = np.zeros(2 * n_verts, dtype=np.int64)
         if len(outside):
             jo = member[outside] - 1  # jo holds no uncovered class; with no index, ball[j] is class j's
             ia, ib = (jo, slice(None)) if inv is None else (inv[:, None] == jo).nonzero()
             _add_meets(out, ball[ia], outside[ib], self.dim, self.radius)
             rows, weight = np.concatenate((rows, outside)), np.concatenate((weight, -k1[jo]))
         np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), weight.repeat(len(self._offsets)))
-        return out[n_verts:2 * n_verts], out[:n_verts]
+        return out[n_verts:], out[:n_verts]
 
     def _removal(self, word: int, terms: bool = False):
         """[word, remove_delta(word), L, _group(word), the size of each
@@ -397,38 +393,40 @@ class SignatureTable:
 
 
 def _add_meets(out: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, radius: int) -> None:
-    """Add 2 to `out` over B(a) ∩ B(b) for each pair (a, b), through _meets,
-    in scatters of at most _CHUNK index entries; the pads land past 2^(dim+1)."""
+    """Add 2 to `out` over B(a) ∩ B(b) for each pair (a, b): sorted by their _meets row, row 0 (none)
+    first, each block scatters its own run of pairs, at most _CHUNK index entries at a time."""
     index, blocks = _meets(dim, radius)
     row = index[a ^ b]
-    for shift, block in blocks:
+    ends = [0, len(a)]  # one block and a row for every pair: one run, no sort
+    if len(blocks) > 1 or np.count_nonzero(row) < len(a):
+        order = row.argsort()
+        a, row = a[order], row[order]
+        ends = [*row.searchsorted([first for first, _ in blocks]).tolist(), len(a)]
+    for (first, block), start, end in zip(blocks, ends, ends[1:]):
         step = max(1, _CHUNK // block.shape[1])
-        for lo in range(0, len(a), step):
-            np.add.at(out, a[lo:lo + step, None] ^ block.take(row[lo:lo + step] - shift, axis=0, mode="clip"), 2)
+        for lo in range(start, end, step):
+            at = slice(lo, min(lo + step, end))
+            np.add.at(out, a[at, None] ^ block.take(row[at] - first, axis=0), 2)
 
 
 @cache
 def _meets(dim: int, radius: int):
-    """(index, blocks): B(a) ∩ B(b) = a ^ row(a ^ b), row(d) holding the
-    offsets o of B_radius with |o ^ d| <= radius, V (V - 1) in all.  Rows of
-    one width (it depends only on |d|) form a block (shift, rows) between
-    two rows of the pad 2^(dim+1), which puts a ^ pad past F^dim.  index[d]
-    numbers the rows from 1, block after block, or is 0: no row for d = 0
-    or |d| > 2 radius (a fingerprint collision).  block.take(index[d] -
-    shift, mode "clip") is d's row in its block and a pad row in others."""
+    """(index, blocks): B(a) ∩ B(b) = a ^ row(a ^ b), row(d) holding the offsets o of B_radius
+    with |o ^ d| <= radius, V (V - 1) in all.  Rows of one width (it depends only on |d|) form a
+    block (first, rows), widest first.  index[d] numbers the rows from 1 on, rows[index[d] - first]
+    in its block, or is 0, no row: d = 0 or |d| > 2 radius (a fingerprint collision)."""
     offs = ball_offsets(dim, radius).astype(np.int64)
     d = (offs[:, None] ^ offs).ravel()
     width = np.bincount(d, minlength=1 << dim)
     width[0] = 0
     o = np.repeat(offs, len(offs))[np.lexsort((d, -width[d]))].astype(np.int32)  # by row, widest first
     index = np.zeros(1 << dim, dtype=np.int32)
-    blocks, shift = [], 0
+    blocks, first = [], 1
     for w in sorted(set(width.tolist()) - {0}, reverse=True):
         rows = np.flatnonzero(width == w)
-        index[rows] = np.arange(shift + 1, shift + len(rows) + 1)
-        pad = np.full((1, w), 2 << dim, dtype=np.int32)
-        blocks.append((shift, np.concatenate((pad, o[:len(rows) * w].reshape(-1, w), pad))))
-        o, shift = o[len(rows) * w:], shift + len(rows)
+        index[rows] = np.arange(first, first + len(rows))
+        blocks.append((first, o[:len(rows) * w].reshape(-1, w)))
+        o, first = o[len(rows) * w:], first + len(rows)
     for arr in (index, *(b for _, b in blocks)):
         arr.flags.writeable = False
     return index, tuple(blocks)

@@ -94,7 +94,7 @@ class TestDiscriminatingLookup:
         assert discriminating_lookup(3, 6) == lookup(3, 5)
 
     def test_even_radius_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="for even r the property equals the one at r - 1, since an odd vertex"):
             discriminating_lookup(2, 10)
 
     def test_untabulated_raises(self):

@@ -208,7 +208,7 @@ class TestDiscriminatingReport:
         )
 
     def test_even_radius_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="for even r the property equals the one at r - 1, since an odd vertex"):
             discriminating_report(Code.from_words([0], 4), 2)
 
     def test_odd_weight_codeword_rejected(self):

@@ -246,7 +246,7 @@ class TestMinDiscriminating:
         assert a.size == b.size
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="for even r the property equals the one at r - 1, since an odd vertex"):
             min_discriminating(2, 4)  # even radius
         with pytest.raises(ValueError):
             min_discriminating(1, 7)  # above the cap

@@ -1058,15 +1058,39 @@ class TestOnePassTables:
     def test_ball_intersections_read_from_the_table(self, n, r):
         index, blocks = signatures._meets(n, r)
         v = len(ball_offsets(n, r))
-        # V (V - 1) offsets, two pad rows per width and a 2^n index: nothing padded to the widest row
+        # V (V - 1) offsets and a 2^n index: no pad rows, and nothing padded to the widest row
         assert index.shape == (1 << n,)
-        assert sum(b.size - 2 * b.shape[1] for _, b in blocks) == v * (v - 1)
+        assert sum(b.size for _, b in blocks) == v * (v - 1)
+        widths = [b.shape[1] for _, b in blocks]
+        assert widths == sorted(set(widths), reverse=True)
+        firsts = [first for first, _ in blocks]
+        assert firsts == [1 + sum(len(b) for _, b in blocks[:k]) for k in range(len(blocks))]
+        assert sorted(index[index > 0].tolist()) == list(range(1, firsts[-1] + len(blocks[-1][1])))
         a = (1 << n) // 3
         for d in range(1, 1 << n):
-            row = np.concatenate([b.take(index[d] - shift, axis=0, mode="clip") for shift, b in blocks])
-            s = a ^ row.astype(np.int64)
-            assert (s[s >= 1 << n] >= 2 << n).all()  # pads land past the two thirds _terms returns
             want = sorted(x for x in range(1 << n) if (x ^ a).bit_count() <= r and (x ^ a ^ d).bit_count() <= r)
-            assert sorted(s[s < 1 << n].tolist()) == want
+            i = int(index[d])
+            if not want:
+                assert i == 0
+                continue
+            first, block = next((first, b) for first, b in blocks if first <= i < first + len(b))
+            assert sorted((a ^ block[i - first].astype(np.int64)).tolist()) == want
         far = (1 << (2 * r + 1)) - 1  # a pair 2r + 1 apart meets in no vertex
-        assert index[far] == 0 and not (np.concatenate([b[0] for _, b in blocks]) < 2 << n).any()
+        assert index[far] == 0
+
+    @pytest.mark.parametrize("chunk", [None, 1, 100])
+    @pytest.mark.parametrize("n,r", [(7, 1), (6, 2), (7, 3), (8, 3)])
+    def test_add_meets_counts_each_pair_once(self, n, r, chunk, monkeypatch, rng):
+        if chunk is not None:
+            monkeypatch.setattr(signatures, "_CHUNK", chunk)
+        assert len(signatures._meets(n, r)[1]) >= min(r, 2)
+        far = rng.choice([d for d in range(1 << n) if d.bit_count() > 2 * r], size=40)  # meet in no vertex
+        near = rng.choice([d for d in range(1, 1 << n) if d.bit_count() <= 2 * r], size=40)
+        a = rng.integers(0, 1 << n, size=200)
+        b = np.concatenate((a[:1], rng.integers(0, 1 << n, size=119), a[120:160] ^ far, a[160:] ^ near))
+        out = np.zeros(2 << n, dtype=np.int64)  # the buffer _terms scores into
+        signatures._add_meets(out, a[:160], b[:160], n, r)
+        signatures._add_meets(out, a[160:], b[160:], n, r)  # every pair with a row: at r = 1, one unsorted run
+        pairs = [(x, y) for x, y in zip(a.tolist(), b.tolist()) if x != y]  # d = 0 has no row: it scatters nothing
+        want = [2 * sum((s ^ x).bit_count() <= r and (s ^ y).bit_count() <= r for x, y in pairs) for s in range(1 << n)]
+        assert out[:1 << n].tolist() == want and not out[1 << n:].any()
