@@ -49,8 +49,9 @@ from .hypercube import Code, ball_offsets
 
 # Per-vertex tables get big fast; the incremental engine is meant for the search sizes, not
 # for bulk verification (use diagnose for that).  Swap scores also read a ball-intersection
-# table, cached per (n, r): V(V - 1) int32 offsets, one block per row width, and a 2^n int32
-# index: 4.2 MB at (1, 20), 41 kB at (2, 12), 11.5 MB at (3, 20).  A move scatters (V + 2^n) V entries at most.
+# table, cached per (n, r): V(V - 1) int32 offsets, one block per row width, and a 2^n intp
+# index: 8.4 MB at (1, 20), 58 kB at (2, 12), 16 MB at (3, 20).  A move scatters (V + 2^n) V
+# entries at most, in scatters of at most _CHUNK.
 MAX_TABLE_DIM = 20
 
 # Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
@@ -64,7 +65,7 @@ _NO_ID = 1  # never a class, so its count stays 0
 _FP_SEED = 0x1DC0DE5
 _TABLE_FP_SEED = 0x7AB1E5  # the table's marks, apart from the static path's
 _SLICE = 1 << 16  # sorted codewords per fingerprint pass, which then hits a narrow band of vertices
-_CHUNK = 1 << 20  # index entries per scatter over ball intersections (_add_meets)
+_CHUNK = 1 << 20  # index entries per scatter over balls and their intersections (_terms, _add_meets)
 
 
 def _pairs(k: int) -> int:
@@ -88,6 +89,8 @@ class SignatureTable:
     the regrouping where each vertex of the ball has its own class.  ``check``
     recounts exactly.  Membership is ``word_mask`` and ``size``.  Mutate
     or score from one thread at a time (scores share a scratch array).
+    The ball offsets, that scratch and the ``_meets`` index are intp, the
+    index dtype, so no gather or scatter of a move converts its index.
     """
 
     def __init__(self, dim: int, radius: int) -> None:
@@ -95,9 +98,11 @@ class SignatureTable:
             raise ValueError(f"table dim must be in [1, {MAX_TABLE_DIM}]")
         self.dim, self.radius = dim, radius
         n_verts = 1 << dim
-        self._offsets = ball_offsets(dim, radius)
+        self._offsets = ball_offsets(dim, radius).astype(np.intp)  # the index dtype: no cast per gather
         self._ones = np.ones(len(self._offsets), dtype=np.int64)  # _group's counts when the ball's ids are distinct
-        self._ones.flags.writeable = False
+        self._rank = np.arange(1, len(self._offsets) + 1, dtype=np.intp)  # _terms' slot of each class of a ball
+        for arr in (self._offsets, self._ones, self._rank):
+            arr.flags.writeable = False
         self._mark = _table_marks(dim)
         self._key_id = np.zeros(n_verts, dtype=np.int64)
         ids = n_verts + 2 + len(self._offsets)  # 2^n live classes at most, V more mid-move
@@ -198,7 +203,7 @@ class SignatureTable:
     def _require(self, word: int, codeword: bool) -> None:
         if not 0 <= word < (1 << self.dim):
             raise ValueError(f"word {word} out of range for dim {self.dim}")
-        if self._word_mask[word] != codeword:
+        if self._word_mask.item(word) != codeword:
             raise ValueError(f"word {word} is {'not' if codeword else 'already'} a codeword")
 
     def add(self, word: int) -> None:
@@ -211,7 +216,7 @@ class SignatureTable:
         if self._delta is not None:  # the old classes are those of the table without `word`
             (t, lin), (t0, p) = self._terms(ball, inv, old, moved, left), self._delta
             p -= lin  # in place, as is T0: every vector handed out is a copy
-            uncovered = int(moved @ (old == _EMPTY_ID))
+            uncovered = np.count_nonzero(old == _EMPTY_ID) if inv is None else int(moved @ (old == _EMPTY_ID))
             if uncovered:  # else t is 0
                 t0 -= t
                 p += t * (t - (1 + uncovered))
@@ -291,7 +296,7 @@ class SignatureTable:
                 break
             _add_meets(p, covered[same], covered[same + gap], self.dim, self.radius)
         self._delta = (t0, p)
-        self._slot = np.zeros(len(self._count), dtype=np.int32)  # _terms' scratch, zero between calls
+        self._slot = np.zeros(len(self._count), dtype=np.intp)  # _terms' scratch, zero between calls
 
     def _terms(self, ball, inv, base, k1, k2):
         """(t, lin) of one codeword over each B(s): adding it changes T0 by
@@ -303,29 +308,30 @@ class SignatureTable:
         into those parts.  t counts the L uncovered vertices of the ball in
         B(s); lin = 2 cross - shrunk, shrunk summing the part each covered
         vertex in B(s) loses and cross counting the pairs in B(s) across the
-        ball's boundary that did share a class.  One scatter of the rows
-        gives -shrunk and t, the halves of one buffer; the cross pairs add theirs.
+        ball's boundary that did share a class.  A scatter of the rows, in
+        chunks of _CHUNK index entries, gives -shrunk and t, the halves of one
+        buffer; the cross pairs add theirs.
         """
-        n_verts = 1 << self.dim
-        uncovered, slot = base == _EMPTY_ID, self._slot
-        slot[base] = np.arange(1, len(base) + 1, dtype=np.int32)
+        n_verts, slot, offs = 1 << self.dim, self._slot, self._offsets
+        slot[base] = self._rank[:len(base)]
         slot[_EMPTY_ID] = 0
         member = slot[self._key_id]  # 0 on the ball unless fingerprints collide
         slot[base] = 0
         outside = member.nonzero()[0]
-        weight = -k2
-        weight[uncovered] = 1
-        lift = uncovered * n_verts  # the rows of the uncovered vertices land in the second half, t
+        uncovered, weight, rows = base == _EMPTY_ID, -k2, ball
+        if np.count_nonzero(uncovered):  # their rows land in the second half, t
+            weight[uncovered] = 1
+            rows = ball ^ (uncovered if inv is None else uncovered[inv]) * n_verts
         if inv is not None:
-            lift, weight = lift[inv], weight[inv]
-        rows = ball ^ lift
+            weight = weight[inv]
         out = np.zeros(2 * n_verts, dtype=np.int64)
         if len(outside):
             jo = member[outside] - 1  # jo holds no uncovered class; with no index, ball[j] is class j's
             ia, ib = (jo, slice(None)) if inv is None else (inv[:, None] == jo).nonzero()
             _add_meets(out, ball[ia], outside[ib], self.dim, self.radius)
             rows, weight = np.concatenate((rows, outside)), np.concatenate((weight, -k1[jo]))
-        np.add.at(out, (rows[:, None] ^ self._offsets).ravel(), weight.repeat(len(self._offsets)))
+        for at in (slice(None),) if len(rows) * len(offs) <= _CHUNK else _chunks(0, len(rows), len(offs)):
+            np.add.at(out, (rows[at, None] ^ offs).ravel(), weight[at].repeat(len(offs)))
         return out[n_verts:], out[:n_verts]
 
     def _removal(self, word: int, terms: bool = False):
@@ -338,10 +344,13 @@ class SignatureTable:
         """
         self._require(word, True)
         if self._removing is None or self._removing[0] != word:
-            _, _, _, moved, _, new = grouped = self._group(word)
-            size = self._count[new]
-            gone = int(moved @ (new == _EMPTY_ID))
-            self._removing = [word, int(moved @ size) + gone, gone, grouped, size, None]
+            _, inv, _, moved, _, new = grouped = self._group(word)
+            size, empty = self._count[new], new == _EMPTY_ID
+            if inv is None:  # moved is all ones
+                gone, total = np.count_nonzero(empty), int(size.sum())
+            else:
+                gone, total = int(moved @ empty), int(moved @ size)
+            self._removing = [word, total + gone, gone, grouped, size, None]
         removing = self._removing
         if terms and removing[5] is None:
             ball, inv, _, moved, _, new = removing[3]
@@ -397,16 +406,23 @@ def _add_meets(out: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int, radius: 
     first, each block scatters its own run of pairs, at most _CHUNK index entries at a time."""
     index, blocks = _meets(dim, radius)
     row = index[a ^ b]
-    ends = [0, len(a)]  # one block and a row for every pair: one run, no sort
-    if len(blocks) > 1 or np.count_nonzero(row) < len(a):
-        order = row.argsort()
-        a, row = a[order], row[order]
-        ends = [*row.searchsorted([first for first, _ in blocks]).tolist(), len(a)]
+    if len(blocks) == 1 and len(a) * blocks[0][1].shape[1] <= _CHUNK and np.count_nonzero(row) == len(a):
+        first, block = blocks[0]  # one run in one chunk, no sort: _terms' calls at r = 1
+        np.add.at(out, a[:, None] ^ block.take(row - first, axis=0), 2)
+        return
+    order = row.argsort()
+    a, row = a[order], row[order]
+    ends = [*row.searchsorted([first for first, _ in blocks]).tolist(), len(a)]
     for (first, block), start, end in zip(blocks, ends, ends[1:]):
-        step = max(1, _CHUNK // block.shape[1])
-        for lo in range(start, end, step):
-            at = slice(lo, min(lo + step, end))
+        for at in _chunks(start, end, block.shape[1]):
             np.add.at(out, a[at, None] ^ block.take(row[at] - first, axis=0), 2)
+
+
+def _chunks(start: int, end: int, width: int) -> list[slice]:
+    """[start, end) in slices of at most _CHUNK // width items (one at least), so that a
+    scatter of `width` index entries per item takes at most _CHUNK of them (or one item)."""
+    step = max(1, _CHUNK // width)
+    return [slice(lo, min(lo + step, end)) for lo in range(start, end, step)]
 
 
 @cache
@@ -414,13 +430,15 @@ def _meets(dim: int, radius: int):
     """(index, blocks): B(a) ∩ B(b) = a ^ row(a ^ b), row(d) holding the offsets o of B_radius
     with |o ^ d| <= radius, V (V - 1) in all.  Rows of one width (it depends only on |d|) form a
     block (first, rows), widest first.  index[d] numbers the rows from 1 on, rows[index[d] - first]
-    in its block, or is 0, no row: d = 0 or |d| > 2 radius (a fingerprint collision)."""
-    offs = ball_offsets(dim, radius).astype(np.int64)
+    in its block, or is 0, no row: d = 0 or |d| > 2 radius (a fingerprint collision).  The index
+    is intp, the index dtype of _add_meets' gathers; the rows are gathered, not an index, and
+    stay int32: at large radius 8-byte rows made greedy (4, 11) 1.5x slower."""
+    offs = ball_offsets(dim, radius).astype(np.intp)
     d = (offs[:, None] ^ offs).ravel()
     width = np.bincount(d, minlength=1 << dim)
     width[0] = 0
     o = np.repeat(offs, len(offs))[np.lexsort((d, -width[d]))].astype(np.int32)  # by row, widest first
-    index = np.zeros(1 << dim, dtype=np.int32)
+    index = np.zeros(1 << dim, dtype=np.intp)
     blocks, first = [], 1
     for w in sorted(set(width.tolist()) - {0}, reverse=True):
         rows = np.flatnonzero(width == w)

@@ -192,11 +192,10 @@ def full_swap_deltas(table, word):
 
 def replay_tracking(table):
     """A table of the same code whose ``_delta`` holds (T0, P), made by adding
-    the codewords one by one to an empty table, where T0 = V and P = 0."""
-    n_verts = 1 << table.dim
+    the codewords one by one to an empty table, whose own start gives T0 = V
+    and P = 0."""
     replay = SignatureTable(table.dim, table.radius)
-    replay._delta = (np.full(n_verts, len(replay._offsets)), np.zeros(n_verts, dtype=np.int64))
-    replay._slot = np.zeros(len(replay._count), dtype=np.int32)  # _terms' scratch
+    replay._start_tracking()
     for word in table.words():
         replay.add(word)
     return replay

@@ -224,7 +224,7 @@ class TestLargeRadius:
         finally:
             tracemalloc.stop()
         assert code_digest(code) == self.GREEDY_4_10
-        assert peak < 32 << 20  # 102 MiB with one scatter of every cross pair
+        assert peak < 32 << 20  # 15.1 MiB; 102 MiB with one scatter of every cross pair
 
 
 class TestPrune:

@@ -901,9 +901,15 @@ class TestScoresFromTheClasses:
         assert t.add_delta_all()[2] != replay.add_delta_all()[2]
         assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
 
-    @pytest.mark.parametrize("n,r", [(7, 1), (8, 3)])
-    def test_one_pair_per_scatter_changes_no_score(self, n, r, monkeypatch, rng):
-        monkeypatch.setattr(signatures, "_CHUNK", 1)  # below one row: a scatter per pair and block
+    @pytest.mark.parametrize("n,r,chunk", [
+        pytest.param(n, r, chunk, id=f"{n}-{r}" if chunk == 1 else f"{n}-{r}-{chunk}")
+        for chunk in (1, 100) for n, r in [(7, 1), (8, 3), (8, 4)]
+    ])
+    def test_one_pair_per_scatter_changes_no_score(self, n, r, chunk, monkeypatch, rng):
+        # 1 is below one row: a scatter per ball row in _terms, and per pair in _add_meets, always
+        # on its sorted path; 100 takes several rows (none at V = 163, r = 4) and at r = 1 sends
+        # calls of up to 50 pairs through the one-run path
+        monkeypatch.setattr(signatures, "_CHUNK", chunk)
         t = SignatureTable.build(random_code(rng, n, kmin=8, kmax=30), r)
         assert np.array_equal(t.add_delta_all(), full_add_delta_all(t))
         for _ in range(6):
@@ -1077,6 +1083,17 @@ class TestOnePassTables:
             assert sorted((a ^ block[i - first].astype(np.int64)).tolist()) == want
         far = (1 << (2 * r + 1)) - 1  # a pair 2r + 1 apart meets in no vertex
         assert index[far] == 0
+
+    @pytest.mark.parametrize("n,r", [(5, 1), (9, 2)])
+    def test_the_table_indexes_in_intp(self, n, r):
+        # the index dtype: a uint32 or int32 index is converted on every gather and scatter
+        # of a move; the _meets rows are gathered, not an index, and stay int32
+        t = SignatureTable.build(Code.from_words([0, 3, 12], n), r)
+        t.add_delta_all()  # the scores' scratch comes with them
+        index, blocks = signatures._meets(n, r)
+        assert [a.dtype for a in (t._offsets, t._rank, t._slot, index)] == [np.dtype(np.intp)] * 4
+        assert all(b.dtype == np.int32 for _, b in blocks)
+        assert t._offsets.tolist() == ball_offsets(n, r).tolist()
 
     @pytest.mark.parametrize("chunk", [None, 1, 100])
     @pytest.mark.parametrize("n,r", [(7, 1), (6, 2), (7, 3), (8, 3)])
