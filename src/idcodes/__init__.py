@@ -33,7 +33,6 @@ from .convert import (
     to_identifying,
 )
 from .exact import (
-    BudgetExhausted,
     SearchOutcome,
     is_separating,
     min_discriminating,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundRecord",
-    "BudgetExhausted",
     "Code",
     "CodeFile",
     "CodeFileError",

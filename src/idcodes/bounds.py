@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .hypercube import ODD_RADII, Code
-from .signatures import require_identifying
+from .signatures import NotIdentifyingError, require_identifying
 
 MIN_RADIUS = 1
 MAX_RADIUS = 5
@@ -287,8 +287,8 @@ def classify_size(r: int, n: int, size: int) -> str:
 def compare(code: Code, r: int) -> str:
     """Verify ``code`` is r-identifying, then classify its size.
 
-    Raises ValueError when the code fails verification: comparing an
-    unverified code against the table would be meaningless.
+    Raises NotIdentifyingError, a ValueError, if the code fails verification:
+    comparing an unverified code against the table would be meaningless.
     """
-    require_identifying(code, r, "code", ValueError)
+    require_identifying(code, r, "code", NotIdentifyingError)
     return classify_size(r, code.dim, len(code))

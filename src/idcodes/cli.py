@@ -13,8 +13,8 @@ JSON, the text form as one ``key value`` line per key (a list of records
 as that line with the record keys, then one row per record).  Without
 --out a built code goes into the JSON under "code", or prints as a code
 file whose comment lines are the text report, so stdout reads back as a
-code.  File writes are atomic; only ``convert --unchecked`` writes a code
-that failed verification.
+code.  File writes are atomic, and every code written or printed has passed
+its static verification.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from . import bounds as bounds_mod
 from . import codefile, convert, exact, extend, heuristics
 from .hypercube import Code
-from .signatures import diagnose, is_identifying
+from .signatures import NotIdentifyingError, diagnose, is_identifying
 
 
 def _word(value) -> str:
@@ -201,7 +201,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else cf.radius
     try:
         pruned = heuristics.prune(cf.code, r, restarts=args.restarts, seed=args.seed)
-    except heuristics.NotIdentifyingError as exc:
+    except NotIdentifyingError as exc:
         return _fail(args, str(exc))
     payload = {"r": r, "size_before": len(cf.code), "size_after": len(pruned)}
     return _finish(args, payload, pruned, r, "pruned to a 1-minimal code")
@@ -216,13 +216,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     code = cf.code
     if args.to == "discriminating":  # by the bijection, checking the output checks the input
         out, note = convert.to_discriminating(code), "parity-extended to the even-weight half"
-        ok, why = args.unchecked or convert.is_discriminating(out, r), "input code is not identifying"
+        ok, why = convert.is_discriminating(out, r), "input code is not identifying"
     else:
         out, note = convert.to_identifying(code, pos=args.pos), "coordinate-deleted back to the full space"
-        ok, why = args.unchecked or is_identifying(out, r), "converted code failed verification"
+        ok, why = is_identifying(out, r), "converted code failed verification"
     if not ok:
         return _fail(args, why)
-    payload = {"to": args.to, "n": out.dim, "r": r, "size": len(out), "verified": not args.unchecked}
+    payload = {"to": args.to, "n": out.dim, "r": r, "size": len(out), "verified": True}
     return _finish(args, payload, out, r, note)
 
 
@@ -256,7 +256,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             verdict = bounds_mod.compare(cf.code, args.r)
         except KeyError as exc:  # no registry row for (r, n)
             raise ValueError(exc.args[0]) from None
-        except ValueError as exc:
+        except NotIdentifyingError as exc:  # a bad radius stays a usage error
             return _fail(args, str(exc))
         rec = bounds_mod.lookup(args.r, cf.code.dim)
         payload = {"size": len(cf.code), "lower": rec.lower, "upper": rec.upper, "classification": verdict}
@@ -331,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=["discriminating", "identifying"], required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--pos", type=int, default=None, help="coordinate to delete (1-based)")
-    p.add_argument("--unchecked", action="store_true")
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_convert)

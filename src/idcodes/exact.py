@@ -29,8 +29,9 @@ a table of one byte per image and sorts them per permutation with a min/max
 network.  A search keeps its verdicts, at most Σ_{k <= _CANONICAL_DEPTH}
 C(m - 1, k) for m candidates (41,727 at m = 64).  canonical=False: no test.
 
-Each found code is re-checked statically before it is returned, by
-``require_identifying``, ``is_separating`` or ``discriminating_report``.
+One routine, _run_min_search, serves all three: it refuses n above the cap
+(never above MAX_EXACT_DIM), ascends the sizes, and re-checks the code found
+statically, by ``require_identifying``, ``is_separating`` or ``is_discriminating``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -246,16 +248,21 @@ class _Searcher:
         return self._dfs(0, 1, (), [], self.targets, size)
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _whole_space(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates and targets of the identifying and separating searches: all of F^n."""
+    return (np.ones(1 << n, dtype=bool),) * 2
+
+
+def _run_min_search(n: int, r: int, cap: int, space: Callable[[int], tuple[np.ndarray, np.ndarray]],
+                    allow_one_uncovered: bool, start_size: int, budget: int | None, canonical: bool,
+                    recheck: Callable[[Code], None]) -> SearchOutcome:
+    """Ascend sizes from start_size once n passes min(cap, MAX_EXACT_DIM).  space(n) gives the
+    candidates and targets as boolean masks over F^n; recheck, the property's static check,
+    raises unless the code found has it."""
     cap = min(cap, MAX_EXACT_DIM)
     if n > cap:
         raise ValueError(f"n={n} exceeds the exhaustive cap {cap}")
-
-
-def _run_min_search(n: int, r: int, candidates: np.ndarray, targets: np.ndarray,
-                    allow_one_uncovered: bool, start_size: int, budget: int | None,
-                    canonical: bool) -> SearchOutcome:
-    """Ascend sizes from start_size; candidates and targets are boolean masks over F^n."""
+    candidates, targets = space(n)
     words = np.flatnonzero(candidates).tolist()
     if not 1 <= start_size <= len(words):
         raise ValueError(f"start_size {start_size} outside [1, {len(words)}]")
@@ -264,7 +271,6 @@ def _run_min_search(n: int, r: int, candidates: np.ndarray, targets: np.ndarray,
     target_bits = int.from_bytes(np.packbits(targets, bitorder="little").tobytes(), "little")
     searcher = _Searcher(n, r, words, target_bits, allow_one_uncovered, budget, canonical)
     infeasible = []
-    hit = None
     try:
         for size in range(start_size, len(words) + 1):
             hit = searcher.search_size(size)
@@ -274,15 +280,15 @@ def _run_min_search(n: int, r: int, candidates: np.ndarray, targets: np.ndarray,
         else:
             raise AssertionError("the full candidate set always satisfies the property")
     except BudgetExhausted:
-        pass
-    return SearchOutcome(
-        code=None if hit is None else Code.from_words(hit, n),
-        size=None if hit is None else len(hit),
-        minimal=hit is not None,
-        nodes=searcher.nodes,
-        start_size=start_size,
-        infeasible_sizes=tuple(infeasible),
-    )
+        return SearchOutcome(None, None, False, searcher.nodes, start_size, tuple(infeasible))
+    code = Code.from_words(hit, n)
+    recheck(code)
+    return SearchOutcome(code, len(code), True, searcher.nodes, start_size, tuple(infeasible))
+
+
+def _require(holds: bool, prop: str) -> None:
+    if not holds:
+        raise AssertionError(f"exact minimum is not {prop}")
 
 
 def min_identifying(
@@ -301,15 +307,11 @@ def min_identifying(
         raise ValueError("radius must be at least 1")
     if r >= n:
         raise ValueError(f"no identifying code exists for r={r}, n={n}")
-    _check_cap(n, cap)
     if start_size is None:
         record = bounds.load_registry().get((r, n))
         start_size = 1 if record is None else record.lower
-    everything = np.ones(1 << n, dtype=bool)
-    outcome = _run_min_search(n, r, everything, everything, False, start_size, budget, canonical)
-    if outcome.code is not None:
-        require_identifying(outcome.code, r, "exact minimum")
-    return outcome
+    return _run_min_search(n, r, cap, _whole_space, False, start_size, budget, canonical,
+                           lambda code: require_identifying(code, r, "exact minimum"))
 
 
 def min_separating(
@@ -329,13 +331,10 @@ def min_separating(
     most one such vertex may exist: the minimum is 2^p - 1.  The search has
     to exhaust every smaller size with weak pruning; (5, 4) takes minutes.
     """
-    _check_cap(p, 5)
     if not 0 <= k <= p - 1:
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
-    everything = np.ones(1 << p, dtype=bool)
-    outcome = _run_min_search(p, k, everything, everything, True, 1, budget, canonical)
-    if outcome.code is not None and not is_separating(outcome.code, k):
-        raise AssertionError(f"exact minimum is not {k}-separating")
+    outcome = _run_min_search(p, k, 5, _whole_space, True, 1, budget, canonical,
+                              lambda code: _require(is_separating(code, k), f"{k}-separating"))
     record = bounds.load_registry().get((k, p))
     if outcome.size is not None and record is not None and record.exact:
         if outcome.size not in (record.upper - 1, record.upper):
@@ -364,9 +363,6 @@ def min_discriminating(
         raise ValueError(f"radius {r} out of range for dim {n}")
     if 2 <= n < r + 2:
         raise ValueError(f"no {r}-discriminating code exists for n={n}: need r <= n - 2")
-    _check_cap(n, cap)
-    odd = odd_mask(n)
-    outcome = _run_min_search(n, r, ~odd, odd, False, 1 if start_size is None else start_size, budget, canonical)
-    if outcome.code is not None and not convert.discriminating_report(outcome.code, r).discriminating:
-        raise AssertionError(f"exact minimum is not {r}-discriminating")
-    return outcome
+    return _run_min_search(n, r, cap, lambda dim: (~odd_mask(dim), odd_mask(dim)), False,
+                           1 if start_size is None else start_size, budget, canonical,
+                           lambda code: _require(convert.is_discriminating(code, r), f"{r}-discriminating"))

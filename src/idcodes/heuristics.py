@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercube import Code
-from .signatures import SignatureTable, require_identifying
+from .signatures import NotIdentifyingError, SignatureTable, require_identifying
 
 _NEVER = np.iinfo(np.int64).max  # the score of a word never chosen, noise or not
 
@@ -85,10 +85,6 @@ class SearchReport:
     def __post_init__(self) -> None:
         if (self.best_f == 0) != (self.best_code is not None):
             raise ValueError("best_f = 0 exactly when a code was found")
-
-
-class NotIdentifyingError(ValueError):
-    """The code given to ``prune`` is not identifying at its radius."""
 
 
 class _StopSearch(Exception):

@@ -35,35 +35,27 @@ def ball_size(n: int, r: int) -> int:
     return sum(comb(n, i) for i in range(r + 1))
 
 
-def _offsets(n: int, lo: int, hi: int) -> list[int]:
-    # Weight-layered generation: never filters all of F^n.
-    out = []
-    for w in range(lo, hi + 1):
-        for positions in itertools.combinations(range(n), w):
-            mask = 0
-            for p in positions:
-                mask |= 1 << p
-            out.append(mask)
-    return out
-
-
 @lru_cache(maxsize=None)
 def ball_offsets(n: int, r: int) -> np.ndarray:
     """XOR masks of all weight <= r words of F^n, as a read-only uint32 array."""
     if not 0 <= r <= n:
         raise ValueError(f"radius {r} out of range for dim {n}")
-    arr = np.array(_offsets(n, 0, r), dtype=np.uint32)
-    arr.flags.writeable = False
-    return arr
+    return annulus_offsets(n, 0, r)
 
 
 @lru_cache(maxsize=None)
 def annulus_offsets(n: int, lo: int, hi: int) -> np.ndarray:
-    """XOR masks of the words with lo <= weight <= hi."""
-    lo = max(lo, 0)
+    """XOR masks of the words with lo <= weight <= hi, weight by weight: never filters all of F^n."""
     if hi > n:
         raise ValueError(f"upper distance {hi} exceeds dim {n}")
-    arr = np.array(_offsets(n, lo, hi), dtype=np.uint32)
+    out = []
+    for w in range(max(lo, 0), hi + 1):
+        for positions in itertools.combinations(range(n), w):
+            mask = 0
+            for p in positions:
+                mask |= 1 << p
+            out.append(mask)
+    arr = np.array(out, dtype=np.uint32)
     arr.flags.writeable = False
     return arr
 

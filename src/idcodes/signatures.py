@@ -45,13 +45,13 @@ from functools import cache
 
 import numpy as np
 
-from .hypercube import Code, ball_offsets
+from .hypercube import Code, annulus_offsets, ball_offsets
 
 # Per-vertex tables get big fast; the incremental engine is meant for the search sizes, not
 # for bulk verification (use diagnose for that).  Swap scores also read a ball-intersection
 # table, cached per (n, r): V(V - 1) int32 offsets, one block per row width, and a 2^n intp
 # index: 8.4 MB at (1, 20), 58 kB at (2, 12), 16 MB at (3, 20).  A move scatters (V + 2^n) V
-# entries at most, in scatters of at most _CHUNK.
+# entries at most, and the build compares V(n, 2r) V, each in runs of at most _CHUNK.
 MAX_TABLE_DIM = 20
 
 # Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
@@ -428,23 +428,27 @@ def _chunks(start: int, end: int, width: int) -> list[slice]:
 @cache
 def _meets(dim: int, radius: int):
     """(index, blocks): B(a) ∩ B(b) = a ^ row(a ^ b), row(d) holding the offsets o of B_radius
-    with |o ^ d| <= radius, V (V - 1) in all.  Rows of one width (it depends only on |d|) form a
-    block (first, rows), widest first.  index[d] numbers the rows from 1 on, rows[index[d] - first]
-    in its block, or is 0, no row: d = 0 or |d| > 2 radius (a fingerprint collision).  The index
-    is intp, the index dtype of _add_meets' gathers; the rows are gathered, not an index, and
-    stay int32: at large radius 8-byte rows made greedy (4, 11) 1.5x slower."""
-    offs = ball_offsets(dim, radius).astype(np.intp)
-    d = (offs[:, None] ^ offs).ravel()
-    width = np.bincount(d, minlength=1 << dim)
-    width[0] = 0
-    o = np.repeat(offs, len(offs))[np.lexsort((d, -width[d]))].astype(np.int32)  # by row, widest first
+    with |o ^ d| <= radius, V (V - 1) in all.  Rows of one width (it depends only on |d| and falls
+    as |d| grows) form a block (first, rows), widest first, made by comparing its d with the ball,
+    not from V^2 pairs.  index[d] numbers the rows from 1 on, rows[index[d] - first] in its block,
+    or is 0, no row: d = 0 or |d| > 2 radius (a fingerprint collision).  The index is intp, the
+    index dtype of _add_meets' gathers; the rows are gathered, not an index, and stay int32: at
+    large radius 8-byte rows made greedy (4, 11) 1.5x slower."""
+    offs = ball_offsets(dim, radius).astype(np.int32)
+    spans: dict[int, list[int]] = {}  # width -> its distances k (d = 2^k - 1 stands for them all)
+    for k in range(1, min(2 * radius, dim) + 1):
+        spans.setdefault(np.count_nonzero(np.bitwise_count(offs ^ ((1 << k) - 1)) <= radius), []).append(k)
     index = np.zeros(1 << dim, dtype=np.intp)
     blocks, first = [], 1
-    for w in sorted(set(width.tolist()) - {0}, reverse=True):
-        rows = np.flatnonzero(width == w)
-        index[rows] = np.arange(first, first + len(rows))
-        blocks.append((first, o[:len(rows) * w].reshape(-1, w)))
-        o, first = o[len(rows) * w:], first + len(rows)
+    for w, ks in spans.items():
+        d = np.sort(annulus_offsets(dim, ks[0], ks[-1])).astype(np.int32)
+        rows = np.empty((len(d), w), dtype=np.int32)
+        for at in _chunks(0, len(d), len(offs)):  # V(dim, 2 radius) V compares in all, _CHUNK at a time
+            meet = np.bitwise_count(offs ^ d[at, None]) <= radius  # in ball order
+            rows[at] = np.broadcast_to(offs, meet.shape)[meet].reshape(-1, w)
+        index[d] = np.arange(first, first + len(d))
+        blocks.append((first, rows))
+        first += len(d)
     for arr in (index, *(b for _, b in blocks)):
         arr.flags.writeable = False
     return index, tuple(blocks)
@@ -601,6 +605,10 @@ def diagnose(code: Code, radius: int) -> VerifyReport:
 def is_identifying(code: Code, radius: int) -> bool:
     """True iff every vertex has a nonempty, unique cover set."""
     return diagnose(code, radius).identifying
+
+
+class NotIdentifyingError(ValueError):
+    """A code given to ``prune`` or ``bounds.compare`` is not identifying at its radius."""
 
 
 def require_identifying(code: Code, radius: int, what: str, error: type[Exception] = AssertionError) -> None:

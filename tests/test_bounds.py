@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from idcodes import Code
+from idcodes import Code, heuristics, signatures
 from idcodes.bounds import (
     KEY_LEGEND,
     MAX_RADIUS,
@@ -200,3 +200,9 @@ class TestClassification:
     def test_compare_rejects_unverified(self):
         with pytest.raises(ValueError):
             compare(Code.from_words([0, 1], 4), 1)
+
+    def test_one_not_identifying_error(self):
+        # prune and compare raise one ValueError subclass, which the CLI reads as a failed
+        # property (exit 1); any other ValueError, such as a bad radius, is a usage error
+        assert heuristics.NotIdentifyingError is signatures.NotIdentifyingError
+        assert issubclass(signatures.NotIdentifyingError, ValueError)

@@ -459,14 +459,14 @@ class TestCliPruneConvert:
     def test_convert_rejects_non_identifying(self, bad_code, capsys):
         assert main(["convert", bad_code, "--to", "discriminating"]) == 1
 
-    def test_convert_unchecked_passes_through(self, bad_code, tmp_path, capsys):
+    def test_convert_has_no_unchecked_flag(self, bad_code, tmp_path, capsys):
+        # every code the CLI writes is verified: no flag writes one that failed
         out = tmp_path / "d.txt"
-        rc = main([
-            "convert", bad_code, "--to", "discriminating", "--unchecked",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        assert out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", bad_code, "--to", "discriminating", "--unchecked", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliExactAndBounds:
@@ -529,6 +529,15 @@ class TestCliExactAndBounds:
 
     def test_bounds_compare_unverified(self, bad_code, capsys):
         assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
+
+    def test_bounds_compare_bad_radius_is_a_usage_error(self, code_74, bad_code, capsys):
+        # a radius the dimension cannot take is a bad value (exit 2, as for verify), not a code
+        # that fails the property (exit 1)
+        assert main(["bounds", "--compare", code_74, "--r", "7"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: radius 7 out of range for dim 4\n")
+        assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
+        assert capsys.readouterr().out.startswith("error code is not 1-identifying (nc=")
 
     def test_bounds_compare_untabulated_cell(self, capsys):
         path = resources.files("idcodes").joinpath("data/code_1_9_114.txt")

@@ -317,5 +317,3 @@ class TestCliConvertChecksOnce:
         assert main(["convert", str(path), "--to", "discriminating"]) == 1
         assert capsys.readouterr().out == "error input code is not identifying\n"
         assert passes == [4]
-        assert main(["convert", str(path), "--to", "discriminating", "--unchecked", "--json"]) == 0
-        assert passes == [4]

@@ -15,6 +15,7 @@ from idcodes.hypercube import ball_offsets
 from idcodes.signatures import (
     MAX_EVAL_DIM,
     MAX_TABLE_DIM,
+    NotIdentifyingError,
     SignatureTable,
     diagnose,
     is_identifying,
@@ -416,7 +417,7 @@ class TestOneVerifyExit:
     @pytest.mark.parametrize("site,error", [
         (lambda code: heuristics.prune(code, 1), heuristics.NotIdentifyingError),
         (lambda code: extend.plan_c1(code, 1, 2), extend.VerificationFailed),
-        (lambda code: bounds.compare(code, 1), ValueError),
+        (lambda code: bounds.compare(code, 1), NotIdentifyingError),  # a ValueError of its own type
     ], ids=["prune", "plan_c1", "compare"])
     def test_user_input_sites(self, site, error):
         bad = Code.from_words([0, 1, 6], 4)
@@ -1083,6 +1084,35 @@ class TestOnePassTables:
             assert sorted((a ^ block[i - first].astype(np.int64)).tolist()) == want
         far = (1 << (2 * r + 1)) - 1  # a pair 2r + 1 apart meets in no vertex
         assert index[far] == 0
+
+    @pytest.mark.parametrize("n,r", [(13, 4), (16, 3)])
+    def test_ball_intersections_build_small(self, n, r):
+        # each block is built from its own distances, a chunk of rows at a time: no V^2 pair
+        # temporaries (36.5 MiB at (13, 4) from them), and no (rows, V) compare held whole
+        # (44 MiB at (16, 3)); the rows kept are 4.8 and 1.9 MB
+        ball_offsets(n, r)
+        signatures._meets.cache_clear()
+        tracemalloc.start()
+        try:
+            signatures._meets(n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            signatures._meets.cache_clear()
+        assert peak <= 28 << 20
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (9, 2)])
+    def test_ball_intersections_do_not_depend_on_the_chunk(self, n, r, monkeypatch):
+        signatures._meets.cache_clear()
+        whole = signatures._meets(n, r)
+        signatures._meets.cache_clear()
+        monkeypatch.setattr(signatures, "_CHUNK", 100)  # a row or a few per compare
+        try:
+            parts = signatures._meets(n, r)
+        finally:
+            signatures._meets.cache_clear()
+        assert whole[0].tobytes() == parts[0].tobytes()
+        assert [(f, b.shape, b.tobytes()) for f, b in whole[1]] == [(f, b.shape, b.tobytes()) for f, b in parts[1]]
 
     @pytest.mark.parametrize("n,r", [(5, 1), (9, 2)])
     def test_the_table_indexes_in_intp(self, n, r):
