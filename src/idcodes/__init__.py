@@ -48,8 +48,7 @@ from .extend import (
     cover_annulus,
     extend_c1,
     extend_c2,
-    plan_c1,
-    plan_c2,
+    plan_extension,
 )
 from .heuristics import (
     NoisingParams,
@@ -116,8 +115,7 @@ __all__ = [
     "min_separating",
     "noising_search",
     "parse_code_text",
-    "plan_c1",
-    "plan_c2",
+    "plan_extension",
     "prune",
     "read_code_file",
     "serialize_code",

@@ -203,9 +203,6 @@ class ConsistencyReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        return f"{len(self.checks)} checks, {len(self.failures)} failures"
-
 
 def check_consistency() -> ConsistencyReport:
     """Re-check the closed-form cells, symmetry intervals and relations."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -107,31 +106,24 @@ def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict]:
     rho_init = args.rho_init
     if rho_init is None:
         rho_init = heuristics.default_params(args.r, args.size).rho_init
-    seeds = [args.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
-
-    def run(seed: int) -> tuple[float, int, heuristics.SearchReport]:
-        params = heuristics.NoisingParams(
-            target_size=args.size,
-            rho_init=rho_init,
-            rho_steps=args.rho_steps,
-            max_iterations=args.max_iterations,
-            seed=seed,
-        )
-        rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
-        return math.inf if rep.best_code is None else len(rep.best_code), seed, rep
-
-    # the smallest code found, the first seed on a tie
-    _, best_seed, best = min(map(run, seeds), key=lambda result: result[0])
+    params = heuristics.NoisingParams(
+        target_size=args.size,
+        rho_init=rho_init,
+        rho_steps=args.rho_steps,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+    )
+    rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
     payload = {
         "method": "noising",
-        "seed": best_seed,
-        "best_f": best.best_f,
-        "iterations": best.iterations_used,
-        "sizes_achieved": [list(t) for t in best.sizes_achieved],
+        "seed": args.seed,
+        "best_f": rep.best_f,
+        "iterations": rep.iterations_used,
+        "sizes_achieved": [list(t) for t in rep.sizes_achieved],
     }
-    if best.best_code is not None:
-        payload["size"] = len(best.best_code)
-    return best.best_code, payload
+    if rep.best_code is not None:
+        payload["size"] = len(rep.best_code)
+    return rep.best_code, payload
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -162,16 +154,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_extend(args: argparse.Namespace) -> int:
     cf = codefile.read_code_file(args.file)
     r1 = args.r if args.r is not None else cf.radius
+    separ = codefile.read_code_file(args.separ).code if args.separ else None
     try:
-        if args.k is not None:
-            separ = (
-                codefile.read_code_file(args.separ).code
-                if args.separ
-                else Code.from_words(range(1, 1 << args.p), args.p)
-            )
-            plan = extend.plan_c2(cf.code, r1, args.p, args.r2, args.k, separ, force=args.force)
-        else:
-            plan = extend.plan_c1(cf.code, r1, args.p, args.r2, force=args.force)
+        plan = extend.plan_extension(cf.code, r1, args.p, args.r2, args.k, separ, args.force)
         out = extend.apply_plan(plan)
     except extend.VerificationFailed as exc:
         return _fail(args, str(exc))
@@ -294,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, help="start size for noising")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="comma-separated seed portfolio (noising)")
     p.add_argument("--rho-init", type=float, default=None)
     p.add_argument("--rho-steps", type=int, default=100)
     p.add_argument("--max-iterations", type=int, default=2_000_000)

@@ -13,7 +13,9 @@ The problem spots form the X set: vertices of F^n that no codeword sees
 at a distance inside the band [r1 - p + r2 + 1, r1 + r2].  Vertices
 outside X are already identified by the C (+) F^p part alone; members of
 X need a neighbor in Y at band distance (C1) or at the exact distance
-r1 + r2 - k (C2).  Y is built by greedy covering.
+r1 + r2 - k (C2).  Y is built by greedy covering.  One planner,
+``plan_extension``, serves both: k None is C1, and a given k is C2, with
+S = F^p \\ {0^p} unless a factor is given.
 
 Every output is re-verified from the definition before it is returned,
 whatever the parameters were, so a misuse caught nowhere else still
@@ -160,32 +162,29 @@ def _nonzero_cube(p: int) -> Code:
     return Code.from_words(range(1, 1 << p), p)
 
 
-def plan_c1(code: Code, r1: int, p: int, r2: int = 0, force: bool = False) -> ExtensionPlan:
-    """Plan construction C1; the patch factor is all of F^p except 0^p."""
-    _check_ranges(r1, p, r2, None, force)
-    require_identifying(code, r1, "base code", VerificationFailed)
-    n = code.dim
-    xset = compute_x_set(code, r1, p, r2)
-    lo, hi = _band(r1, p, r2, n)
-    return ExtensionPlan(code, r1, p, r2, None, xset, cover_annulus(xset, lo, hi, n), None)
-
-
-def plan_c2(
-    code: Code, r1: int, p: int, r2: int, k: int, separ: Code, force: bool = False
+def plan_extension(
+    code: Code, r1: int, p: int, r2: int = 0, k: int | None = None, separ: Code | None = None, force: bool = False
 ) -> ExtensionPlan:
-    """Plan construction C2 with an explicit k-separating factor in F^p."""
+    """Plan construction C1 (k None) or C2 (k given) from an r1-identifying code.
+
+    ``separ`` is C2's k-separating factor, F^p - {0^p} when None; C1 takes none.
+    """
     _check_ranges(r1, p, r2, k, force)
-    if separ.dim != p:
-        raise ExtensionError(f"separating factor lives in F^{separ.dim}, expected F^{p}")
-    if not is_separating(separ, k):
-        raise VerificationFailed(f"factor code is not {k}-separating in F^{p}")
+    if k is None and separ is not None:
+        raise ExtensionError("a separating factor needs k: it is construction C2's patch")
+    if k is not None:
+        separ = _nonzero_cube(p) if separ is None else separ
+        if separ.dim != p:
+            raise ExtensionError(f"separating factor lives in F^{separ.dim}, expected F^{p}")
+        if not is_separating(separ, k):
+            raise VerificationFailed(f"factor code is not {k}-separating in F^{p}")
     require_identifying(code, r1, "base code", VerificationFailed)
     n = code.dim
     xset = compute_x_set(code, r1, p, r2)
-    d = r1 + r2 - k
-    if xset and not 0 <= d <= n:
-        raise ExtensionError(f"required covering distance {d} impossible in F^{n}")
-    yset = cover_annulus(xset, d, d, n) if xset else ()
+    lo, hi = _band(r1, p, r2, n) if k is None else (r1 + r2 - k,) * 2
+    if xset and not 0 <= lo <= hi <= n:
+        raise ExtensionError(f"Y must cover X at distances {lo}..{hi}, impossible in F^{n}")
+    yset = cover_annulus(xset, lo, hi, n) if xset else ()
     return ExtensionPlan(code, r1, p, r2, k, xset, yset, separ)
 
 
@@ -202,14 +201,14 @@ def apply_plan(plan: ExtensionPlan) -> Code:
 
 def extend_c1(code: Code, r1: int, p: int, r2: int = 0, force: bool = False) -> Code:
     """Extend an r1-identifying code to an (r1+r2)-identifying one in F^(n+p)."""
-    return apply_plan(plan_c1(code, r1, p, r2, force))
+    return apply_plan(plan_extension(code, r1, p, r2, force=force))
 
 
 def extend_c2(
     code: Code, r1: int, p: int, r2: int, k: int, separ: Code, force: bool = False
 ) -> Code:
     """Like extend_c1 but patches X with a k-separating factor instead of F^p - 0."""
-    return apply_plan(plan_c2(code, r1, p, r2, k, separ, force))
+    return apply_plan(plan_extension(code, r1, p, r2, k, separ, force))
 
 
 __all__ = [
@@ -218,8 +217,7 @@ __all__ = [
     "ExtensionPlan",
     "compute_x_set",
     "cover_annulus",
-    "plan_c1",
-    "plan_c2",
+    "plan_extension",
     "apply_plan",
     "extend_c1",
     "extend_c2",

@@ -129,7 +129,7 @@ class TestConsistency:
         # 5 closed-form cells + 10 symmetry pairs + 40 relation rows
         report = check_consistency()
         assert len(report.checks) == 55
-        assert report.summary() == "55 checks, 0 failures"
+        assert report.ok
 
     def test_relation_rows_reference_tabulated_cells(self):
         table = load_registry()

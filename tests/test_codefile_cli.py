@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, cli, codefile
+from idcodes import Code, cli, codefile, diagnose
 from idcodes.cli import main
 from idcodes.codefile import (
     CodeFileError,
@@ -19,7 +19,7 @@ from idcodes.codefile import (
     serialize_code,
     write_code_file,
 )
-from idcodes.exact import min_identifying
+from idcodes.exact import min_identifying, min_separating
 from idcodes.extend import extend_c1
 from idcodes.heuristics import greedy_construct, prune
 from idcodes.hypercube import MAX_DIM
@@ -337,16 +337,13 @@ class TestCliConstruct:
         out = capsys.readouterr().out
         assert "n=4 r=1" in out
 
-    def test_noising_seed_portfolio(self, capsys):
-        rc = main([
-            "construct", "--method", "noising", "--r", "1", "--n", "4",
-            "--size", "9", "--seeds", "0,1", "--max-iterations", "2000",
-            "--stop-size", "8", "--json",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert payload["seed"] in (0, 1)
-        assert payload["size"] <= 8
+    def test_construct_has_no_seeds_flag(self, capsys):
+        # one seed per run: a seed portfolio reports a row per seed, not the winner alone
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--method", "noising", "--r", "1", "--n", "4", "--size", "9", "--seeds", "0,1",
+                  "--max-iterations", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seeds" in capsys.readouterr().err
 
     def test_noising_infinite_rho_init_is_an_error(self, capsys):
         rc = main([
@@ -408,6 +405,29 @@ class TestCliExtend:
         assert rc == 0
         assert "construction C2" in capsys.readouterr().out
         assert read_code_file(out).code.dim == 9
+
+    def test_c2_with_separ_file(self, tmp_path, capsys):
+        base, separ, out = tmp_path / "b.txt", tmp_path / "s.txt", tmp_path / "ext.txt"
+        write_code_file(base, greedy_construct(3, 6, seed=0), 3)
+        write_code_file(separ, min_separating(2, 1).code, 1)
+        rc = main(["extend", str(base), "--p", "2", "--r2", "2", "--k", "1", "--separ", str(separ),
+                   "--out", str(out), "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["construction"], payload["separ_size"], payload["size"]) == ("C2", 3, 40)
+        assert payload["verified"] is True
+        code = read_code_file(out).code
+        assert (code.dim, len(code)) == (8, 40)
+        assert diagnose(code, 5).identifying
+
+    def test_separ_without_k_is_a_usage_error(self, code_74, tmp_path, capsys):
+        # a factor is construction C2's patch: without --k it must not quietly build C1
+        separ, out = tmp_path / "s.txt", tmp_path / "ext.txt"
+        write_code_file(separ, min_separating(2, 1).code, 1)
+        rc = main(["extend", code_74, "--p", "2", "--separ", str(separ), "--out", str(out)])
+        assert rc == 2
+        assert "needs k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_identifying_base_fails(self, bad_code, tmp_path, capsys):
         out = tmp_path / "ext.txt"

@@ -13,8 +13,7 @@ from idcodes.extend import (
     cover_annulus,
     extend_c1,
     extend_c2,
-    plan_c1,
-    plan_c2,
+    plan_extension,
 )
 from idcodes.heuristics import greedy_construct
 
@@ -129,7 +128,7 @@ class TestCoverAnnulus:
 
 class TestC1:
     def test_empty_x_is_plain_direct_sum(self, base14):
-        plan = plan_c1(base14, 1, 2)
+        plan = plan_extension(base14, 1, 2)
         assert plan.x_set == ()
         assert plan.y_set == ()
         out = apply_plan(plan)
@@ -138,7 +137,7 @@ class TestC1:
         assert diagnose(out, 1).f == 0
 
     def test_single_step_with_patch(self, base15):
-        plan = plan_c1(base15, 1, 1)
+        plan = plan_extension(base15, 1, 1)
         assert len(plan.x_set) == 5
         assert len(plan.y_set) == 1
         out = apply_plan(plan)
@@ -153,7 +152,7 @@ class TestC1:
         assert len(out) == 14
 
     def test_predicted_size_is_exact_without_overlap(self, base15):
-        plan = plan_c1(base15, 1, 1)
+        plan = plan_extension(base15, 1, 1)
         overlap = set(plan.y_set) & set(base15.words)
         out = apply_plan(plan)
         if not overlap:
@@ -162,7 +161,7 @@ class TestC1:
             assert len(out) < plan.predicted_size()
 
     def test_plan_fields_and_report(self, base14):
-        plan = plan_c1(base14, 1, 2)
+        plan = plan_extension(base14, 1, 2)
         assert plan.construction == "C1"
         assert plan.out_radius == 1
         assert plan.out_dim == 6
@@ -170,14 +169,19 @@ class TestC1:
 
     def test_non_identifying_base_rejected(self):
         with pytest.raises(VerificationFailed):
-            plan_c1(Code.from_words([0, 1], 4), 1, 1)
+            plan_extension(Code.from_words([0, 1], 4), 1, 1)
+
+    def test_empty_band_under_force_is_an_extension_error(self):
+        # lo = r1 - p + r2 + 1 = 5 > hi = n = 4: no distance is left for Y to cover X at
+        with pytest.raises(ExtensionError, match="distances 5..4"):
+            extend_c1(Code.from_words(range(1, 16), 4), 3, 1, r2=2, force=True)
 
     def test_range_policy(self, base14):
         # a radius-increasing step must not outrun the base radius
         with pytest.raises(ExtensionError):
-            plan_c1(base14, 1, 2, r2=1)
+            plan_extension(base14, 1, 2, r2=1)
         with pytest.raises(ExtensionError):
-            plan_c1(base14, 1, 1, r2=2)
+            plan_extension(base14, 1, 1, r2=2)
 
 
 class TestC2:
@@ -190,7 +194,7 @@ class TestC2:
 
     def test_nonempty_x_uses_patch(self, base36):
         separ = min_separating(2, 1).code
-        plan = plan_c2(base36, 3, 2, 2, 1, separ)
+        plan = plan_extension(base36, 3, 2, 2, 1, separ)
         assert len(plan.x_set) == 8
         assert len(plan.y_set) == 4
         assert plan.construction == "C2"
@@ -202,33 +206,38 @@ class TestC2:
     def test_separating_factor_dim_checked(self, base36):
         separ = min_separating(2, 1).code
         with pytest.raises(ExtensionError):
-            plan_c2(base36, 3, 3, 0, 1, separ)
+            plan_extension(base36, 3, 3, 0, 1, separ)
 
     def test_non_separating_factor_rejected(self, base36):
         # {00, 11} leaves 01 and 10 with the same cover set at radius 1
         bad = Code.from_words([0, 3], 2)
         with pytest.raises(VerificationFailed):
-            plan_c2(base36, 3, 2, 2, 1, bad)
+            plan_extension(base36, 3, 2, 2, 1, bad)
 
     def test_k_range_enforced_even_with_force(self, base36):
         separ = min_separating(2, 1).code
         with pytest.raises(ExtensionError):
-            plan_c2(base36, 3, 2, 2, 2, separ, force=True)
+            plan_extension(base36, 3, 2, 2, 2, separ, force=True)
 
     def test_default_policy_requires_p_at_least_3(self, base36):
         separ = min_separating(2, 1).code
         with pytest.raises(ExtensionError):
-            plan_c2(base36, 3, 2, 0, 1, separ)
+            plan_extension(base36, 3, 2, 0, 1, separ)
 
     def test_force_bypasses_payoff_policy(self, base36):
         separ = min_separating(2, 0).code
-        plan = plan_c2(base36, 3, 2, 0, 0, separ, force=True)
+        plan = plan_extension(base36, 3, 2, 0, 0, separ, force=True)
         out = apply_plan(plan)
         assert diagnose(out, 3).f == 0
 
+    def test_factor_without_k_is_refused(self, base14):
+        # a factor is C2's patch: without k the planner must not quietly plan C1
+        with pytest.raises(ExtensionError, match="needs k"):
+            plan_extension(base14, 1, 2, separ=min_separating(2, 1).code)
+
     def test_report_mentions_factor(self, base36):
         separ = min_separating(2, 1).code
-        plan = plan_c2(base36, 3, 2, 2, 1, separ)
+        plan = plan_extension(base36, 3, 2, 2, 1, separ)
         assert plan.construction == "C2"
         assert plan.separ == separ
 
@@ -269,11 +278,9 @@ class TestExtensionProperties:
         k = data.draw(st.none() | st.integers(0, p - 1), label="k (None: C1)")
         force = data.draw(st.booleans(), label="force")
         base = greedy_construct(r1, n, seed=data.draw(st.integers(0, 3), label="seed"))
+        separ = None if k is None else min_separating(p, k).code
         try:
-            if k is None:
-                plan = plan_c1(base, r1, p, r2, force)
-            else:
-                plan = plan_c2(base, r1, p, r2, k, min_separating(p, k).code, force)
+            plan = plan_extension(base, r1, p, r2, k, separ, force)
         except ExtensionError as err:
             assert not isinstance(err, VerificationFailed)  # the base and factor are valid
             return

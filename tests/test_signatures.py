@@ -416,9 +416,9 @@ class TestOneVerifyExit:
 
     @pytest.mark.parametrize("site,error", [
         (lambda code: heuristics.prune(code, 1), heuristics.NotIdentifyingError),
-        (lambda code: extend.plan_c1(code, 1, 2), extend.VerificationFailed),
+        (lambda code: extend.plan_extension(code, 1, 2), extend.VerificationFailed),
         (lambda code: bounds.compare(code, 1), NotIdentifyingError),  # a ValueError of its own type
-    ], ids=["prune", "plan_c1", "compare"])
+    ], ids=["prune", "plan_extension", "compare"])
     def test_user_input_sites(self, site, error):
         bad = Code.from_words([0, 1, 6], 4)
         with pytest.raises(error) as exc:
