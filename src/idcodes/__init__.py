@@ -34,7 +34,6 @@ from .convert import (
 )
 from .exact import (
     SearchOutcome,
-    is_separating,
     min_discriminating,
     min_identifying,
     min_separating,
@@ -53,7 +52,6 @@ from .extend import (
 from .heuristics import (
     NoisingParams,
     SearchReport,
-    default_params,
     greedy_construct,
     noising_search,
     prune,
@@ -70,6 +68,7 @@ from .signatures import (
     VerifyReport,
     diagnose,
     is_identifying,
+    is_separating,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "compare",
     "compute_x_set",
     "cover_annulus",
-    "default_params",
     "diagnose",
     "direct_sum",
     "discriminating_lookup",

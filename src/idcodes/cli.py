@@ -103,12 +103,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict]:
-    rho_init = args.rho_init
-    if rho_init is None:
-        rho_init = heuristics.default_params(args.r, args.size).rho_init
     params = heuristics.NoisingParams(
         target_size=args.size,
-        rho_init=rho_init,
+        rho_init=args.rho_init,
         rho_steps=args.rho_steps,
         max_iterations=args.max_iterations,
         seed=args.seed,
@@ -280,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="start size for noising")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho-init", type=float, default=None)
-    p.add_argument("--rho-steps", type=int, default=100)
-    p.add_argument("--max-iterations", type=int, default=2_000_000)
+    p.add_argument("--rho-steps", type=int, default=heuristics.NoisingParams.rho_steps)
+    p.add_argument("--max-iterations", type=int, default=heuristics.NoisingParams.max_iterations)
     p.add_argument("--stop-size", type=int, default=None, help="return once a code this small is found")
     p.add_argument("--prune", action="store_true", help="prune after greedy")
     p.add_argument("--restarts", type=int, default=16)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import bounds, convert
 from .hypercube import ODD_RADII, Code, ball_offsets, ball_size, odd_mask, permute_words
-from .signatures import diagnose, require_identifying
+from .signatures import is_separating, require_identifying
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
 # bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
@@ -79,15 +79,6 @@ class SearchOutcome:
     nodes: int
     start_size: int
     infeasible_sizes: tuple[int, ...] = field(default_factory=tuple)
-
-
-def is_separating(code: Code, k: int) -> bool:
-    """True iff no two vertices share a cover set at radius k.
-
-    Vertices may go uncovered, but only one: two uncovered vertices would
-    share the empty cover set.
-    """
-    return diagnose(code, k).ns == 0
 
 
 class _Searcher:

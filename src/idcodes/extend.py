@@ -29,9 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .exact import is_separating
 from .hypercube import Code, annulus_offsets, direct_sum, full_space
-from .signatures import require_identifying
+from .signatures import is_separating, require_identifying
 
 
 class ExtensionError(ValueError):
@@ -209,16 +208,3 @@ def extend_c2(
 ) -> Code:
     """Like extend_c1 but patches X with a k-separating factor instead of F^p - 0."""
     return apply_plan(plan_extension(code, r1, p, r2, k, separ, force))
-
-
-__all__ = [
-    "ExtensionError",
-    "VerificationFailed",
-    "ExtensionPlan",
-    "compute_x_set",
-    "cover_annulus",
-    "plan_extension",
-    "apply_plan",
-    "extend_c1",
-    "extend_c2",
-]

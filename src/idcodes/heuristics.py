@@ -9,9 +9,10 @@ in the incremental engine cannot leak an invalid code.
 The noising search does local descent over single codeword swaps with an
 additive noise term rho * ln(R) that shrinks to zero along an arithmetic
 schedule, letting early iterations escape local minima while late ones
-descend strictly.  Whenever the current code becomes identifying it is
-recorded and the search drops one codeword (the one whose removal hurts
-least) and keeps going at the smaller size.
+descend strictly.  Its default start, rho_init = 2r + 1, is resolved by
+the run itself, which knows r and n.  Whenever the current code becomes
+identifying it is recorded and the search drops one codeword (the one
+whose removal hurts least) and keeps going at the smaller size.
 
 Pruning rests on monotonicity: a superset of an identifying code is
 identifying.  A codeword that cannot leave the input cannot leave any
@@ -21,7 +22,7 @@ found removable at the start, and a single pass is already 1-minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,13 +38,14 @@ class NoisingParams:
 
     The noise magnitude decreases arithmetically from ``rho_init`` to
     exactly zero over ``rho_steps`` decrements; at each magnitude the
-    search sweeps the codeword cycle once.  One iteration is one attempted
+    search sweeps the codeword cycle once.  ``rho_init = None`` leaves the
+    start to the run, which takes 2r + 1.  One iteration is one attempted
     swap (accepted or not), and the search stops after ``max_iterations``
     of them.
     """
 
     target_size: int
-    rho_init: float
+    rho_init: float | None = None
     rho_steps: int = 100
     max_iterations: int = 2_000_000
     seed: int = 0
@@ -51,19 +53,16 @@ class NoisingParams:
     def __post_init__(self) -> None:
         if self.target_size < 1:
             raise ValueError("target_size must be >= 1")
-        if not 0 < self.rho_init < float("inf"):
+        if self.rho_init is not None and not 0 < self.rho_init < float("inf"):
             raise ValueError("rho_init must be finite and > 0")
         if self.rho_steps < 1 or self.max_iterations < 1:
             raise ValueError("rho_steps, max_iterations must be >= 1")
 
     def schedule(self) -> np.ndarray:
         """Noise magnitudes, arithmetic from rho_init down to exactly 0."""
+        if self.rho_init is None:
+            raise ValueError("rho_init is None: the noising run resolves it to 2r + 1")
         return np.linspace(self.rho_init, 0.0, self.rho_steps + 1)
-
-
-def default_params(r: int, target_size: int, seed: int = 0) -> NoisingParams:
-    """Defaults that work well in practice: rho_init scales with the ball radius."""
-    return NoisingParams(target_size=target_size, rho_init=2 * r + 1, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class _NoisingRun:
             raise ValueError("stop_size must be >= 1")
         self.r = r
         self.n = n
-        self.params = params
+        self.params = params if params.rho_init is not None else replace(params, rho_init=2 * r + 1)
         self.stop_size = stop_size
         self.rng = np.random.Generator(np.random.PCG64(params.seed))
         start = Code.from_words(self.rng.choice(1 << n, size=params.target_size, replace=False), n)
@@ -109,8 +108,7 @@ class _NoisingRun:
         # the visit cycle: a swap keeps its position, a shrink empties one
         self.order: list[int | None] = start.array.tolist()
         self.iterations = 0
-        self.trace: list[int] = [self.table.f]
-        self.best_f = self.table.f
+        self.trace: list[int] = [self.table.f]  # its minimum is the report's best_f
         self.best_code: Code | None = None
         self.sizes: list[tuple[int, int]] = []
 
@@ -129,7 +127,6 @@ class _NoisingRun:
             code = self.table.code()
             require_identifying(code, self.r, "a code the table scored f = 0")
             self.best_code = code
-            self.best_f = 0
             self.sizes.append((len(code), self.iterations))
             if self.stop_size is not None and len(code) <= self.stop_size:
                 raise _StopSearch
@@ -160,7 +157,6 @@ class _NoisingRun:
         table.add(s0)
         self.order[i] = s0
         self.trace.append(table.f)
-        self.best_f = min(self.best_f, table.f)
         if table.f == 0:
             self._record_and_shrink()
 
@@ -179,7 +175,7 @@ class _NoisingRun:
             pass
         return SearchReport(
             best_code=self.best_code,
-            best_f=self.best_f,
+            best_f=min(self.trace),
             iterations_used=self.iterations,
             sizes_achieved=tuple(self.sizes),
             trace=tuple(self.trace),
@@ -269,14 +265,3 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
             table.add(w)
     require_identifying(best, r, "pruned code")
     return best
-
-
-__all__ = [
-    "NoisingParams",
-    "SearchReport",
-    "default_params",
-    "noising_search",
-    "greedy_construct",
-    "prune",
-    "NotIdentifyingError",
-]

@@ -62,10 +62,7 @@ def annulus_offsets(n: int, lo: int, hi: int) -> np.ndarray:
 
 def odd_mask(dim: int) -> np.ndarray:
     """Boolean vector over F^dim, True at the odd-weight words."""
-    m = np.zeros(1 << dim, dtype=bool)
-    for k in range(dim):  # Thue-Morse: w + 2^k, for w < 2^k, has the other parity
-        np.logical_not(m[:1 << k], out=m[1 << k:2 << k])
-    return m
+    return np.bitwise_count(np.arange(1 << dim)) % 2 == 1
 
 
 class Code:

@@ -607,6 +607,15 @@ def is_identifying(code: Code, radius: int) -> bool:
     return diagnose(code, radius).identifying
 
 
+def is_separating(code: Code, k: int) -> bool:
+    """True iff no two vertices share a cover set at radius k.
+
+    Vertices may go uncovered, but only one: two uncovered vertices would
+    share the empty cover set.
+    """
+    return diagnose(code, k).ns == 0
+
+
 class NotIdentifyingError(ValueError):
     """A code given to ``prune`` or ``bounds.compare`` is not identifying at its radius."""
 

@@ -9,6 +9,7 @@ from idcodes.bounds import (
     MIN_RADIUS,
     BoundRecord,
     RELATIONS,
+    _parse_registry,
     check_consistency,
     classify_size,
     compare,
@@ -42,6 +43,17 @@ class TestRegistryLoading:
 
     def test_loading_is_cached(self):
         assert load_registry() is load_registry()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 2 3 3 a B\n1 3 4\n", "registry line 2: expected 6 fields, got 3"),
+            ("# r n\n1 2 3 3 a B\n1 2 3 3 a B\n", "registry line 3: duplicate cell r=1 n=2"),
+        ],
+    )
+    def test_malformed_registry_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            _parse_registry(text)
 
 
 class TestLookup:

@@ -115,6 +115,7 @@ class TestCodeFileFormat:
             ("n=3 r=1\n\u0663\n", 2, "expected a decimal codeword, got '\u0663'"),
             ("n=\u0663 r=1\n5\n", 1, "expected 'n=<dim> r=<radius>', got 'n=\u0663 r=1'"),
             ("n=40 r=1\n5\n", 1, f"dim must be at most {MAX_DIM}"),
+            ("n=0 r=1\n0\n", 1, "dim must be positive"),
         ],
     )
     def test_only_ascii_digits_and_dims_up_to_max_dim(self, text, line_no, message):

@@ -119,6 +119,10 @@ class TestToIdentifying:
         with pytest.raises(ValueError):
             to_identifying(Code.from_words([1], 3))
 
+    def test_one_dimensional_code_rejected(self):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            to_identifying(Code.from_words([0], 1))
+
     def test_default_position_is_last(self):
         code = Code.from_words([0b110, 0b011], 3)
         assert to_identifying(code).words == to_identifying(code, 3).words

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import Code, diagnose, exact, is_identifying
+import idcodes
+from idcodes import Code, diagnose, exact, is_identifying, signatures
 from idcodes.convert import is_discriminating, to_identifying
 from idcodes.exact import (
     _CANONICAL_DEPTH,
@@ -99,6 +100,10 @@ class TestIsSeparating:
     def test_radius_range(self):
         with pytest.raises(ValueError):
             is_separating(Code.from_words([0], 3), 4)
+
+    def test_one_is_separating(self):
+        # the predicate lives in signatures; the exact layer and the package re-export it
+        assert is_separating is signatures.is_separating is idcodes.is_separating
 
 
 class TestMinIdentifying:

@@ -183,6 +183,11 @@ class TestC1:
         with pytest.raises(ExtensionError):
             plan_extension(base14, 1, 1, r2=2)
 
+    def test_bad_radius_is_refused_before_planning(self):
+        with pytest.raises(ExtensionError, match="need r1 >= 1") as exc:
+            plan_extension(Code.from_words([0], 3), 0, 1)
+        assert exc.traceback[-1].name == "_check_ranges"  # not compute_x_set's own check
+
 
 class TestC2:
     def test_empty_x_case(self, base36):

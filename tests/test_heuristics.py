@@ -13,7 +13,6 @@ from idcodes.heuristics import (
     NoisingParams,
     SearchReport,
     _NoisingRun,
-    default_params,
     greedy_construct,
     noising_search,
     prune,
@@ -59,10 +58,17 @@ class TestNoisingParams:
         assert sched[-1] == 0.0
         assert (np.diff(sched) < 0).all()
 
-    def test_default_params_scale_with_radius(self):
-        assert default_params(1, 30).rho_init == 3
-        assert default_params(3, 30).rho_init == 7
-        assert default_params(2, 30, seed=9).seed == 9
+    def test_schedule_needs_a_resolved_rho_init(self):
+        with pytest.raises(ValueError, match="the noising run resolves it"):
+            NoisingParams(target_size=5).schedule()
+
+    @pytest.mark.parametrize("r,n,size", [(1, 6, 21), (3, 7, 12)])
+    def test_default_rho_init_is_2r_plus_1(self, r, n, size):
+        def run(rho):
+            p = NoisingParams(target_size=size, rho_init=rho, rho_steps=10, max_iterations=600, seed=n)
+            return noising_search(r, n, p)
+
+        assert run(None) == run(2 * r + 1)
 
 
 class TestSearchReport:
