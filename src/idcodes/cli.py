@@ -6,15 +6,18 @@ code, prune useless codewords, convert between the identifying and
 discriminating forms, run the exact minimum search, and query or check
 the bounds registry.
 
-Exit codes: 0 success / property holds, 1 property fails or search came
-up empty, 2 usage or parse errors, or a path that cannot be read or
-written.  Each subcommand builds one report dict: --json prints it as
-JSON, the text form as one ``key value`` line per key (a list of records
-as that line with the record keys, then one row per record).  Without
---out a built code goes into the JSON under "code", or prints as a code
-file whose comment lines are the text report, so stdout reads back as a
-code.  File writes are atomic, and every code written or printed has passed
-its static verification.
+A code file is read at --r, or else at the radius in its header.  Exit
+codes: 0 success / property holds, 1 property fails or search came up
+empty, 2 usage or parse errors, or a path that cannot be read or written.
+A code that fails its property (``NotIdentifyingError`` or
+``extend.VerificationFailed``) exits 1 in one place, ``main``, as the
+report ``error <message>``.  Each subcommand builds one report dict:
+--json prints it as JSON, the text form as one ``key value`` line per key
+(a list of records as that line with the record keys, then one row per
+record).  Without --out a built code goes into the JSON under "code", or
+prints as a code file whose comment lines are the text report, so stdout
+reads back as a code.  File writes are atomic, and every code written or
+printed has passed its static verification.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(_lines(payload)))
 
 
-def _fail(args: argparse.Namespace, message: str) -> int:
-    _emit(args, {"error": message})
-    return 1
+def _read(path: str, radius: int | None) -> tuple[Code, int]:
+    """The code in a file, and `radius` (--r) or else the header's radius."""
+    cf = codefile.read_code_file(path)
+    return cf.code, cf.radius if radius is None else radius
 
 
 def _finish(args: argparse.Namespace, payload: dict, code: Code, radius: int, comment: str) -> int:
@@ -74,7 +78,7 @@ def _finish(args: argparse.Namespace, payload: dict, code: Code, radius: int, co
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    code, r = codefile.read_code_file(args.file).code, args.r
+    code, r = _read(args.file, args.r)
     if args.discriminating:
         rep = convert.discriminating_report(code, r)
         holds, prop = rep.discriminating, f"{r}-discriminating"
@@ -102,28 +106,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- construct ---------------------------------------------------------------
 
 
-def _construct_noising(args: argparse.Namespace) -> tuple[Code | None, dict]:
-    params = heuristics.NoisingParams(
-        target_size=args.size,
-        rho_init=args.rho_init,
-        rho_steps=args.rho_steps,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
-    rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
-    payload = {
-        "method": "noising",
-        "seed": args.seed,
-        "best_f": rep.best_f,
-        "iterations": rep.iterations_used,
-        "sizes_achieved": [list(t) for t in rep.sizes_achieved],
-    }
-    if rep.best_code is not None:
-        payload["size"] = len(rep.best_code)
-    return rep.best_code, payload
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
+    payload = {"method": args.method, "seed": args.seed}
     if args.method == "noising":
         if args.size is None:
             raise UsageError("--size is required with --method noising")
@@ -131,7 +115,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if cell and args.stop_size is not None and 1 <= args.stop_size < cell.lower:
             raise UsageError(f"--stop-size {args.stop_size} is below the lower bound {cell.lower} at r={args.r}, "
                              f"n={args.n}: no identifying code is that small, so the search cannot stop early")
-        code, payload = _construct_noising(args)
+        params = heuristics.NoisingParams(target_size=args.size, rho_init=args.rho_init, rho_steps=args.rho_steps,
+                                          max_iterations=args.max_iterations, seed=args.seed)
+        rep = heuristics.noising_search(args.r, args.n, params, stop_size=args.stop_size)
+        code = rep.best_code
+        payload.update(best_f=rep.best_f, iterations=rep.iterations_used,
+                       sizes_achieved=[list(t) for t in rep.sizes_achieved])
         if code is None:
             _emit(args, {**payload, "error": "no identifying code found"})
             return 1
@@ -139,9 +128,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         code = heuristics.greedy_construct(args.r, args.n, seed=args.seed)
         if args.prune:
             code = heuristics.prune(code, args.r, restarts=args.restarts, seed=args.seed)
-        payload = {"method": "greedy", "seed": args.seed, "size": len(code)}
     # every heuristic verifies its code statically before returning it
-    payload["verified"] = True
+    payload.update(size=len(code), verified=True)
     return _finish(args, payload, code, args.r, f"constructed by {args.method}")
 
 
@@ -149,14 +137,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
-    cf = codefile.read_code_file(args.file)
-    r1 = args.r if args.r is not None else cf.radius
+    code, r1 = _read(args.file, args.r)
     separ = codefile.read_code_file(args.separ).code if args.separ else None
-    try:
-        plan = extend.plan_extension(cf.code, r1, args.p, args.r2, args.k, separ, args.force)
-        out = extend.apply_plan(plan)
-    except extend.VerificationFailed as exc:
-        return _fail(args, str(exc))
+    plan = extend.plan_extension(code, r1, args.p, args.r2, args.k, separ, args.force)
+    out = extend.apply_plan(plan)
     payload = {
         "construction": plan.construction,
         "base_size": len(plan.base),
@@ -171,7 +155,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         "size": len(out),
         "verified": True,
     }
-    comment = f"extension {plan.construction} from n={cf.code.dim} r={r1} p={plan.p}"
+    comment = f"extension {plan.construction} from n={code.dim} r={r1} p={plan.p}"
     return _finish(args, payload, out, plan.out_radius, comment)
 
 
@@ -179,13 +163,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    cf = codefile.read_code_file(args.file)
-    r = args.r if args.r is not None else cf.radius
-    try:
-        pruned = heuristics.prune(cf.code, r, restarts=args.restarts, seed=args.seed)
-    except NotIdentifyingError as exc:
-        return _fail(args, str(exc))
-    payload = {"r": r, "size_before": len(cf.code), "size_after": len(pruned)}
+    code, r = _read(args.file, args.r)
+    pruned = heuristics.prune(code, r, restarts=args.restarts, seed=args.seed)
+    payload = {"r": r, "size_before": len(code), "size_after": len(pruned)}
     return _finish(args, payload, pruned, r, "pruned to a 1-minimal code")
 
 
@@ -193,9 +173,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    cf = codefile.read_code_file(args.file)
-    r = args.r if args.r is not None else cf.radius
-    code = cf.code
+    code, r = _read(args.file, args.r)
     if args.to == "discriminating":  # by the bijection, checking the output checks the input
         out, note = convert.to_discriminating(code), "parity-extended to the even-weight half"
         ok, why = convert.is_discriminating(out, r), "input code is not identifying"
@@ -203,7 +181,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         out, note = convert.to_identifying(code, pos=args.pos), "coordinate-deleted back to the full space"
         ok, why = is_identifying(out, r), "converted code failed verification"
     if not ok:
-        return _fail(args, why)
+        raise NotIdentifyingError(why)
     payload = {"to": args.to, "n": out.dim, "r": r, "size": len(out), "verified": True}
     return _finish(args, payload, out, r, note)
 
@@ -231,18 +209,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         _emit(args, {"checks": len(report.checks), "failures": failures})
         return 0 if report.ok else 1
     if args.compare:
-        if args.r is None:
-            raise UsageError("--compare needs --r")
-        cf = codefile.read_code_file(args.compare)
+        code, r = _read(args.compare, args.r)
         try:
-            verdict = bounds_mod.compare(cf.code, args.r)
+            verdict = bounds_mod.compare(code, r)
         except KeyError as exc:  # no registry row for (r, n)
             raise ValueError(exc.args[0]) from None
-        except NotIdentifyingError as exc:  # a bad radius stays a usage error
-            return _fail(args, str(exc))
-        rec = bounds_mod.lookup(args.r, cf.code.dim)
-        payload = {"size": len(cf.code), "lower": rec.lower, "upper": rec.upper, "classification": verdict}
-        _emit(args, payload)
+        rec = bounds_mod.lookup(r, code.dim)
+        _emit(args, {"size": len(code), "lower": rec.lower, "upper": rec.upper, "classification": verdict})
         return 0
     table = sorted(bounds_mod.load_registry().items())
     _emit(args, {"records": [{**dataclasses.asdict(rec), "exact": rec.exact} for _, rec in table]})
@@ -262,15 +235,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, verify and transform identifying codes in binary Hamming space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that subcommands share, each declared once
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true")
+    built = argparse.ArgumentParser(add_help=False, parents=[report])
+    built.add_argument("--out")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("file")
+    infile.add_argument("--r", type=int, default=None, help="override the file-header radius")
 
-    p = sub.add_parser("verify", help="check a code file for the identifying property")
-    p.add_argument("file")
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("verify", parents=[infile, report], help="check a code file for the identifying property")
     p.add_argument("--discriminating", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("construct", help="build a code by greedy or noising search")
+    p = sub.add_parser("construct", parents=[built], help="build a code by greedy or noising search")
     p.add_argument("--method", choices=["greedy", "noising"], required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -282,54 +260,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-size", type=int, default=None, help="return once a code this small is found")
     p.add_argument("--prune", action="store_true", help="prune after greedy")
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("extend", help="length/radius extension of a verified code")
-    p.add_argument("file")
+    p = sub.add_parser("extend", parents=[infile, built], help="length/radius extension of a verified code")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r2", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--separ", help="code file with the k-separating factor (C2)")
-    p.add_argument("--r", type=int, default=None, help="override the file-header radius")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("prune", help="remove useless codewords (1-minimal result)")
-    p.add_argument("file")
-    p.add_argument("--r", type=int, default=None)
+    p = sub.add_parser("prune", parents=[infile, built], help="remove useless codewords (1-minimal result)")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("convert", help="identifying <-> discriminating conversion")
-    p.add_argument("file")
+    p = sub.add_parser("convert", parents=[infile, built], help="identifying <-> discriminating conversion")
     p.add_argument("--to", choices=["discriminating", "identifying"], required=True)
-    p.add_argument("--r", type=int, default=None)
     p.add_argument("--pos", type=int, default=None, help="coordinate to delete (1-based)")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("exact", help="certified minimum identifying code search")
+    p = sub.add_parser("exact", parents=[built], help="certified minimum identifying code search")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="node budget")
     p.add_argument("--cap", type=int, default=5, help="largest n accepted")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("bounds", help="query or check the bounds registry")
+    p = sub.add_parser("bounds", parents=[report], help="query or check the bounds registry")
     p.add_argument("--check", action="store_true")
     p.add_argument("--compare", help="code file to classify against the registry")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--r", type=int, default=None, help="override the file-header radius")
     p.set_defaults(func=_cmd_bounds)
 
     return parser
@@ -341,7 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "restarts", 1) < 1:  # construct and prune
             raise UsageError("--restarts must be >= 1")
-        rc = args.func(args)
+        try:
+            rc = args.func(args)
+        except (NotIdentifyingError, extend.VerificationFailed) as exc:  # the code fails its property
+            _emit(args, {"error": str(exc)})
+            rc = 1
         sys.stdout.flush()  # a closed pipe shows up here, not at shutdown
         return rc
     except codefile.CodeFileError as exc:

@@ -8,10 +8,11 @@
 The header is the first line not blank without its ``#`` comment; <dim> is
 at most ``MAX_DIM``.  Codewords are ASCII decimal digits (leading zeros
 allowed), separated by any whitespace.  The radius in the header is
-advisory provenance (what the code was built or checked for); parsing does
-not verify anything.  Input order is free, output is canonical sorted
-order.  Writes go through a temp file and an atomic rename so readers
-never observe a half-written code.
+provenance (what the code was built or checked for), and the radius a
+reading CLI command uses unless --r is given; parsing still verifies
+nothing.  Input order is free, output is canonical sorted order.  Writes
+go through a temp file and an atomic rename so readers never observe a
+half-written code.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ class _NoisingRun:
             self.sizes.append((len(code), self.iterations))
             if self.stop_size is not None and len(code) <= self.stop_size:
                 raise _StopSearch
-            if self.table.size <= 1:
-                return
             deltas = np.where(self.table.word_mask, self.table.remove_delta_all(), _NEVER)
             best = int(np.argmin(deltas))  # least harmful, then smallest
             self.table.remove(best)
@@ -256,7 +254,7 @@ def prune(code: Code, r: int, restarts: int = 16, seed: int = 0) -> Code:
         removed = []
         order = rng.permutation(len(code))
         for w in code.array[order[free[order]]].tolist():
-            if table.size > 1 and table.remove_delta(w) == 0:
+            if table.remove_delta(w) == 0:
                 table.remove(w)
                 removed.append(w)
         if table.size < len(best):

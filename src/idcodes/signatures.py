@@ -216,7 +216,7 @@ class SignatureTable:
         if self._delta is not None:  # the old classes are those of the table without `word`
             (t, lin), (t0, p) = self._terms(ball, inv, old, moved, left), self._delta
             p -= lin  # in place, as is T0: every vector handed out is a copy
-            uncovered = np.count_nonzero(old == _EMPTY_ID) if inv is None else int(moved @ (old == _EMPTY_ID))
+            uncovered = int(moved @ (old == _EMPTY_ID))
             if uncovered:  # else t is 0
                 t0 -= t
                 p += t * (t - (1 + uncovered))
@@ -344,12 +344,9 @@ class SignatureTable:
         """
         self._require(word, True)
         if self._removing is None or self._removing[0] != word:
-            _, inv, _, moved, _, new = grouped = self._group(word)
-            size, empty = self._count[new], new == _EMPTY_ID
-            if inv is None:  # moved is all ones
-                gone, total = np.count_nonzero(empty), int(size.sum())
-            else:
-                gone, total = int(moved @ empty), int(moved @ size)
+            _, _, _, moved, _, new = grouped = self._group(word)
+            size = self._count[new]
+            gone, total = int(moved @ (new == _EMPTY_ID)), int(moved @ size)
             self._removing = [word, total + gone, gone, grouped, size, None]
         removing = self._removing
         if terms and removing[5] is None:
@@ -617,7 +614,7 @@ def is_separating(code: Code, k: int) -> bool:
 
 
 class NotIdentifyingError(ValueError):
-    """A code given to ``prune`` or ``bounds.compare`` is not identifying at its radius."""
+    """A code given to ``prune``, ``bounds.compare`` or ``idcodes convert`` is not identifying at its radius."""
 
 
 def require_identifying(code: Code, radius: int, what: str, error: type[Exception] = AssertionError) -> None:

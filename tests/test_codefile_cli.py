@@ -545,9 +545,6 @@ class TestCliExactAndBounds:
         assert main(["bounds", "--compare", code_74, "--r", "1"]) == 0
         assert "matches-upper" in capsys.readouterr().out
 
-    def test_bounds_compare_needs_r(self, code_74, capsys):
-        assert main(["bounds", "--compare", code_74]) == 2
-
     def test_bounds_compare_unverified(self, bad_code, capsys):
         assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
 
@@ -610,6 +607,45 @@ _REPORTS = {
     "bounds compare": (0, "bounds --compare {code} --r 1"),
     "extend error": (1, "extend {bad} --p 1 --out {out}"),
 }
+
+
+_HEADER_RADIUS = {
+    "verify": "verify {code}",
+    "verify --discriminating": "verify {disc} --discriminating",
+    "extend": "extend {code} --p 1",
+    "prune": "prune {code}",
+    "convert": "convert {code} --to discriminating",
+    "bounds --compare": "bounds --compare {code}",
+}
+
+
+class TestHeaderRadius:
+    """A code file is read at --r, or else at the radius in its header."""
+
+    @pytest.mark.parametrize("case", list(_HEADER_RADIUS))
+    def test_without_r_the_header_radius_is_read(self, case, tmp_path, capsys):
+        from idcodes.convert import to_discriminating
+
+        base = greedy_construct(3, 6, seed=0)  # radius 3 in the headers, not 1
+        write_code_file(tmp_path / "c.txt", base, 3)
+        write_code_file(tmp_path / "d.txt", to_discriminating(base), 3)
+        argv = _HEADER_RADIUS[case].format(code=tmp_path / "c.txt", disc=tmp_path / "d.txt").split()
+        for form in ([], ["--json"]):
+            assert main(argv + ["--r", "3"] + form) == 0
+            want = capsys.readouterr()
+            assert main(argv + form) == 0
+            assert capsys.readouterr() == want
+        if case.startswith("verify"):
+            assert json.loads(want.out)["r"] == 3
+
+    def test_construct_stdout_verifies_without_r(self, tmp_path, capsys):
+        # `idcodes construct ... > g.txt` writes a file that `idcodes verify g.txt` reads
+        assert main(["construct", "--method", "greedy", "--r", "2", "--n", "6"]) == 0
+        saved = tmp_path / "g.txt"
+        saved.write_text(capsys.readouterr().out)
+        assert main(["verify", str(saved)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "r 2" in lines and "verdict PASS" in lines
 
 
 class TestTextIsThePayload:
@@ -689,6 +725,12 @@ class TestClosedStdout:
         # a stdout with no file descriptor, as under contextlib.redirect_stdout
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert main(["bounds"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_property_failure_meets_a_closed_pipe(self, bad_code, monkeypatch, capsys):
+        # the exit-1 `error ...` report is printed inside the same try as any other
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["prune", bad_code]) == 141
         assert capsys.readouterr().err == ""
 
     @pytest.fixture

@@ -216,6 +216,18 @@ class TestMinSeparating:
             ident = min_identifying(k, p)
             assert ident.size - 1 <= sep.size <= ident.size
 
+    def test_result_outside_the_registry_bracket_is_refused(self, monkeypatch):
+        # the minimum must lie in [M_k(p) - 1, M_k(p)] when the registry knows
+        # M_k(p) exactly; a tampered cell (1, 4) = 9..9 puts the true 6 outside
+        from idcodes import bounds
+
+        table = dict(bounds.load_registry())
+        rec = table[(1, 4)]
+        table[(1, 4)] = bounds.BoundRecord(1, 4, 9, 9, rec.lower_key, rec.upper_key)
+        monkeypatch.setattr(bounds, "_REGISTRY", table)
+        with pytest.raises(RuntimeError, match=r"^separating minimum 6 outside \[8, 9\] for k=1, p=4$"):
+            min_separating(4, 1)
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             min_separating(6, 1)

@@ -170,6 +170,27 @@ class TestNoisingSearch:
         assert len(run.trace) > 1
         assert (diffs < 0).all()
 
+    def test_ln_uniform_resamples_exact_zeros(self):
+        # R is uniform on the open interval (0, 1): an exact zero is drawn
+        # again, so ln(R) is finite
+        class ZerosFirst:
+            def __init__(self):
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                u = np.full(size, 0.5)
+                if len(self.sizes) == 1:
+                    u[[0, 2, 3]] = 0.0
+                return u
+
+        run = _NoisingRun(1, 5, params(9, seed=2), None)
+        run.rng = stub = ZerosFirst()
+        out = run._ln_uniform(6)
+        assert np.isfinite(out).all()
+        assert np.allclose(out, np.log(0.5))
+        assert stub.sizes == [6, 3]
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             noising_search(0, 4, params(5))
