@@ -215,7 +215,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         except KeyError as exc:  # no registry row for (r, n)
             raise ValueError(exc.args[0]) from None
         rec = bounds_mod.lookup(r, code.dim)
-        _emit(args, {"size": len(code), "lower": rec.lower, "upper": rec.upper, "classification": verdict})
+        _emit(args, {"r": r, "size": len(code), "lower": rec.lower, "upper": rec.upper, "classification": verdict})
         return 0
     table = sorted(bounds_mod.load_registry().items())
     _emit(args, {"records": [{**dataclasses.asdict(rec), "exact": rec.exact} for _, rec in table]})

@@ -105,17 +105,28 @@ def read_code_file(path: str | os.PathLike) -> CodeFile:
 
 
 def serialize_code(code: Code, radius: int, comments: Iterable[str] = ()) -> str:
-    head = "".join(f"{line}\n" for line in (f"n={code.dim} r={radius}", *(f"# {c}" for c in comments)))
-    # one row per word: its decimal digits, padded to the widest, then a newline
-    width = len(str(code.array[-1]))
-    rows = np.full((len(code), width + 1), ord("\n"), dtype=np.uint8)
-    rest = code.array.copy()
-    for j in range(width - 1, -1, -1):
-        rest, rows[:, j] = np.divmod(rest, 10)
-    # keep the columns whose place value is at most the word, and always the ones digit and newline
-    keep = code.array[:, None] >= np.append(10 ** np.arange(width - 1, 0, -1), [0, 0]).astype(np.uint32)
-    rows[:, :width] += ord("0")
-    return head + rows[keep].tobytes().decode("ascii")
+    """The code file of `code` at `radius`: the header, one ``# `` line per
+    comment, then the words in canonical (sorted) order, one per line, in
+    decimal without leading zeros.  A comment may not hold a line break."""
+    comments = list(comments)
+    for bad in filter(_EOL.search, comments):
+        raise ValueError(f"comment {bad!r} holds a line break")
+    head = "".join(f"{line}\n" for line in (f"n={code.dim} r={radius}", *(f"# {c}" for c in comments))).encode()
+    words = code.array
+    # the words of d digits run from the first word >= 10^(d - 1) to the first >= 10^d
+    cuts = [0, *words.searchsorted(10 ** np.arange(1, len(str(words[-1])), dtype=np.uint32)), len(words)]
+    # the header and the rows share one buffer, so no second copy of the text joins them
+    out = np.empty(len(head) + int(np.diff(cuts) @ np.arange(2, len(cuts) + 1)), dtype=np.uint8)
+    out[:len(head)], at = np.frombuffer(head, dtype=np.uint8), len(head)
+    for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1):
+        rows = out[at:at + (hi - lo) * (d + 1)].reshape(hi - lo, d + 1)  # d digits, then a newline
+        at += rows.size
+        rows[:, d] = ord("\n")
+        rest = words[lo:hi].copy()
+        for j in range(d - 1, -1, -1):
+            np.divmod(rest, 10, out=(rest, rows[:, j]), casting="unsafe")
+        rows[:, :d] += ord("0")
+    return str(out, "utf-8")
 
 
 def write_code_file(

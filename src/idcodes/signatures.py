@@ -54,9 +54,9 @@ from .hypercube import Code, annulus_offsets, ball_offsets
 # entries at most, and the build compares V(n, 2r) V, each in runs of at most _CHUNK.
 MAX_TABLE_DIM = 20
 
-# Static evaluation peaks near 10 bytes a vertex plus 4 a codeword (tracemalloc:
-# 10.0 MiB at n = 20, 40 MiB at n = 22, 64 MiB for all of F^22, 175 MiB at n = 24),
-# 0.33 GB for all of F^24.  A failing code adds up to 40 bytes per (vertex,
+# Static evaluation peaks near 9 bytes a vertex plus 4 a codeword (tracemalloc:
+# 9.0 MiB at n = 20, 36 MiB at n = 22 and for all of F^22, 144 MiB at n = 24),
+# 236 MiB for all of F^24.  A failing code adds up to 40 bytes per (vertex,
 # covering codeword) pair of its candidates, |C| V(n, r) at most.
 MAX_EVAL_DIM = 24
 
@@ -528,8 +528,8 @@ def _evaluate_static(words: np.ndarray, n: int, r: int):
         raise ValueError(f"dimension {n} exceeds MAX_EVAL_DIM = {MAX_EVAL_DIM} for static evaluation")
     offs = ball_offsets(n, r)
     fp = _fingerprints(words, _marks(len(words)), offs, 1 << n)
-    zero = fp == 0  # uncovered, unless their marks cancel out
-    covered = not zero.any()
+    covered = bool(fp.all())
+    zero = None if covered else fp == 0  # uncovered, unless their marks cancel out
     dup = fp.copy() if covered else fp[~zero]
     dup.sort()
     dup = dup[1:][dup[1:] == dup[:-1]]
@@ -539,16 +539,20 @@ def _evaluate_static(words: np.ndarray, n: int, r: int):
     low = np.uint32((1 << bits) - 1)
     marked = np.zeros(1 << bits, dtype=bool)
     marked[dup & low] = True
-    # at 16 bits, the low halves through a view: no 2^n temporary
-    live = marked[fp.view(np.uint16)[::2] if bits == 16 and np.little_endian else fp & low]
+    live, lows = np.empty(len(fp), dtype=bool), np.empty(min(len(fp), _SLICE), dtype=np.intp)
+    for lo in range(0, len(fp), _SLICE):  # 2^n is a multiple of _SLICE or below it: each slice fills lows
+        np.bitwise_and(fp[lo:lo + _SLICE], low, out=lows, casting="unsafe")
+        np.take(marked, lows, out=live[lo:lo + _SLICE])
     cand = np.flatnonzero(live)
     cand_fp = fp[cand]
     live[cand] = dup.take(dup.searchsorted(cand_fp), mode="clip") == cand_fp
-    live |= zero
+    if not covered:
+        live |= zero
     found = _cover_pairs(words, live, offs)
     cand, start, size = np.unique(found >> 32, return_index=True, return_counts=True)
-    zero[cand] = False  # now exactly the uncovered vertices
-    nc = int(np.count_nonzero(zero))
+    if not covered:
+        zero[cand] = False  # now exactly the uncovered vertices
+    nc = 0 if covered else int(np.count_nonzero(zero))
     ns = _pairs(nc)  # the uncovered vertices form one exact class
     uncovered = int(np.argmax(zero)) if nc else None
     pair = (uncovered, uncovered + 1 + int(np.argmax(zero[uncovered + 1:]))) if nc >= 2 else None

@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idcodes import Code, cli, codefile, diagnose
@@ -26,6 +28,10 @@ from idcodes.hypercube import MAX_DIM
 from idcodes.signatures import MAX_EVAL_DIM, MAX_TABLE_DIM
 
 from conftest import random_code, reference_parse, reference_serialize
+
+
+# every character at which str.splitlines ends a line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestCodeFileFormat:
@@ -51,20 +57,48 @@ class TestCodeFileFormat:
     @given(st.integers(1, MAX_DIM).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40),
-        st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8),
+        st.lists(st.text(st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS), max_size=8),
                  max_size=3))))
+    @example((MAX_DIM, [(1 << MAX_DIM) - 1], []))
     def test_serialize_matches_the_per_word_join(self, case):
         n, words, comments = case
         single_digits = [w % min(10, 1 << n) for w in words]
-        for ws in (words, [0, *words], single_digits):
+        # the last word of each digit count and the first of the next, up to 10 digits at n = 30
+        edges = [w for k in range(1, 10) if 10 ** k < 1 << n for w in (10 ** k - 1, 10 ** k)]
+        widest = [w for w in words if len(str(w)) == len(str(max(words)))]
+        for ws in (words, [0, *words], single_digits, [*words, *edges], [0], widest):
             code = Code.from_words(ws, n)
             assert serialize_code(code, 2, comments) == reference_serialize(code, 2, comments)
+
+    @pytest.mark.parametrize("brk", list(_LINE_BREAKS) + ["\r\n"])
+    def test_comment_with_a_line_break_is_refused(self, brk, tmp_path):
+        # str.splitlines, which the parser follows, would read the rest as a body line
+        comment = f"a{brk}b"
+        assert len(comment.splitlines()) == 2
+        with pytest.raises(ValueError, match=re.escape(repr(comment))):
+            serialize_code(Code.from_words([0, 1], 1), 1, ["fine", comment])
+        with pytest.raises(ValueError, match="holds a line break"):
+            write_code_file(tmp_path / "c.txt", Code.from_words([0, 1], 1), 1, [comment])
+        assert os.listdir(tmp_path) == []
 
     def test_serialized_n20_extension_is_pinned(self):
         text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
         out = serialize_code(extend_c1(parse_code_text(text).code, 1, 11), 1)
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1dfaf4d51cd6be6bd609eee49e05fc6895436c993b208208bae4a6353996b866")
+
+    def test_serialize_stays_small_at_n20(self):
+        # the 1.6 MiB buffer of header and rows, and the text decoded from
+        # it (3.15 MiB); a digit matrix and leading-zero mask took 7.5 MiB
+        text = resources.files("idcodes").joinpath("data/code_1_9_114.txt").read_text()
+        code = extend_c1(parse_code_text(text).code, 1, 11)
+        tracemalloc.start()
+        try:
+            serialize_code(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, f"serialize_code at n = 20 peaked at {peak / 2**20:.2f} MiB"
 
     def test_parse_tolerates_comments_blanks_and_order(self):
         cf = parse_code_text("\n# hi\nn=3 r=1\n\n5\n0 # trailing\n# mid\n2\n")
@@ -541,9 +575,18 @@ class TestCliExactAndBounds:
         assert "1 9 101 114" in out
         assert len(out.splitlines()) == 91  # header + 90 records
 
-    def test_bounds_compare(self, code_74, capsys):
+    def test_bounds_compare(self, code_74, tmp_path, capsys):
         assert main(["bounds", "--compare", code_74, "--r", "1"]) == 0
-        assert "matches-upper" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "classification matches-upper" in lines and "r 1" in lines
+        # the report names the radius it classified at: --r, or else the header's
+        path = str(tmp_path / "c36.txt")
+        write_code_file(path, greedy_construct(3, 6, seed=0), 3)
+        for r in (["--r", "3"], []):
+            assert main(["bounds", "--compare", path, *r, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["r"] == 3
+            assert main(["bounds", "--compare", path, *r]) == 0
+            assert "r 3" in capsys.readouterr().out.splitlines()
 
     def test_bounds_compare_unverified(self, bad_code, capsys):
         assert main(["bounds", "--compare", bad_code, "--r", "1"]) == 1
