@@ -16,9 +16,10 @@ as soon as some class can no longer be split into small enough pieces,
 some vertex can no longer be covered, or some pair has no remaining
 separator.  Each child is counted, then checked cheapest rule first in its
 parent's loop; a class its ball leaves whole is re-checked with two
-compares.  Children that all fail are counted without a visit: those past
-the least sep, or all of them when more vertices are uncovered than one
-ball could bring down to what the remaining words may leave.
+compares, a cut class's pieces as soon as they are cut.  Children that all
+fail are counted without a visit: those past the least sep, or all of them
+when more vertices are uncovered than one ball could bring down to what
+the remaining words may leave.
 
 Coordinate permutations fix 0^n and map codes of each kind onto codes of
 the same kind.  So by default, at every n, a partial code with at most
@@ -37,7 +38,6 @@ statically, by ``require_identifying``, ``is_separating`` or ``is_discriminating
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,14 +49,14 @@ from .signatures import is_separating, require_identifying
 
 # Largest n any exact search accepts, whatever its cap says.  The ball
 # bitsets and cover masks take 2 * 4^n / 8 bytes and the lex-leader table
-# (n! - 1) * 2^n bytes: 10.3 MB at n = 8 and 0.19 GB at n = 9.  Filled in
-# slices of (n - 1)! permutations, the whole n = 8 searcher peaks about
-# 31 MB above the interpreter's footprint (60 MB RSS), the table included.
+# (n! - 1) * 2^n bytes: 10.3 MB at n = 8 and 0.19 GB at n = 9.  Built by
+# doubling from the n unit words' images, the whole n = 8 searcher peaks at
+# 11.5 MiB by tracemalloc, 12.7 MiB above the interpreter's RSS (42.2 MiB).
 MAX_EXACT_DIM = 8
 # Partial codes are tested for lex-leadership while they have at most this
 # many words besides 0^n.  With each verdict kept per search, bench `exact`
-# wall_s read 0.35-0.36 s at depth 2 (1.7 times the nodes), 0.28-0.31 s at 3
-# and 0.32 s at 4, where the extra tests still cost more than they prune.
+# wall_s read 0.280 s at depth 2 (1.65 times the nodes), 0.246 s at 3 and
+# 0.278 s at 4, where the extra tests still cost more than they prune.
 _CANONICAL_DEPTH = 3
 
 
@@ -69,8 +69,9 @@ class SearchOutcome:
     """Result of a minimum-size search.
 
     minimal means the size is certified relative to the start size: every
-    smaller size down to start_size was proved infeasible (start_size
-    itself comes from the trusted lower-bound registry unless overridden).
+    smaller size down to start_size was proved infeasible.  A start size
+    the call leaves out is 1, or the registry's lower bound (if any) for
+    min_identifying; min_separating takes none.
     """
 
     code: Code | None
@@ -82,16 +83,8 @@ class SearchOutcome:
 
 
 class _Searcher:
-    def __init__(
-        self,
-        n: int,
-        r: int,
-        candidates: list[int],
-        targets: int,
-        allow_one_uncovered: bool,
-        budget: int | None,
-        canonical: bool,
-    ) -> None:
+    def __init__(self, n: int, r: int, candidates: list[int], targets: int,
+                 allow_one_uncovered: bool, budget: int | None, canonical: bool) -> None:
         self.n = n
         self.cands = candidates
         self.allow_one_uncovered = allow_one_uncovered
@@ -119,13 +112,13 @@ class _Searcher:
         self.images, self.verdicts = None, {}  # words -> _canonical(words)
         if canonical:
             others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
-            perms = np.array(list(others), dtype=np.int64).reshape(-1, n)
-            # row w: w's image under every permutation but the identity,
-            # filled (n-1)! permutations at a time to bound the uint32 temporaries
-            words, step = np.arange(1 << n), math.factorial(n - 1)
-            self.images = np.empty((1 << n, len(perms)), dtype=np.min_scalar_type((1 << n) - 1))
-            for i in range(0, len(perms), step):
-                self.images[:, i:i + step] = permute_words(words, perms[i:i + step], n).T
+            perms = np.fromiter(itertools.chain.from_iterable(others), dtype=np.int8).reshape(-1, n)
+            # row w: w's image under every permutation but the identity, the
+            # OR of its bits' images, so rows 2^k.. are rows 0.. | image(2^k)
+            units = permute_words(1 << np.arange(n), perms, n).T  # before the table: a lower peak
+            self.images = np.zeros((1 << n, len(perms)), dtype=np.min_scalar_type((1 << n) - 1))
+            for k, unit in enumerate(units):
+                np.bitwise_or(self.images[:1 << k], unit, out=self.images[1 << k:2 << k])
 
     def _canonical(self, words: tuple[int, ...]) -> bool:
         """True iff no permutation maps the increasing words onto a set with a
@@ -208,29 +201,37 @@ class _Searcher:
     def _split(self, classes: list[tuple[int, int, int]], fresh: int, ball: int, limit: int,
                j: int) -> list[tuple[int, int, int]] | None:
         """Each class cut by candidate j's ball, plus the freshly covered
-        vertices; None at the first class bigger than limit or with sep <= j,
-        none of candidates j+1, ... splitting its two lowest members.  A class
-        the ball leaves whole passes on as the same record."""
-        cover = self.covermask
-        kids, cut = [], [fresh]
+        vertices, in one pass: None at the first class or piece bigger than
+        limit or with sep <= j, none of candidates j+1, ... splitting its two
+        lowest members.  A class the ball leaves whole passes on as the same
+        record.  Each rule reads one class, and _dfs only scans the kids for
+        their least sep, so their order is free."""
+        cover, kids = self.covermask, []
         for cls in classes:
-            c, size, sep = cls
+            c = cls[0]
             a = c & ball
             if a == 0 or a == c:
-                if size > limit or sep <= j:
+                if cls[1] > limit or cls[2] <= j:
                     return None
                 kids.append(cls)
-            else:
-                cut += (a, c ^ a)
-        for piece in cut:
-            rest = piece & (piece - 1)
-            if rest:
-                size = piece.bit_count()
-                sep = (cover[(piece & -piece).bit_length() - 1]
-                       ^ cover[(rest & -rest).bit_length() - 1]).bit_length() - 1
-                if size > limit or sep <= j:
-                    return None
-                kids.append((piece, size, sep))
+                continue
+            for piece in (a, c ^ a):
+                rest = piece & (piece - 1)
+                if rest:
+                    size = piece.bit_count()
+                    sep = (cover[(piece & -piece).bit_length() - 1]
+                           ^ cover[(rest & -rest).bit_length() - 1]).bit_length() - 1
+                    if size > limit or sep <= j:
+                        return None
+                    kids.append((piece, size, sep))
+        rest = fresh & (fresh - 1)
+        if rest:
+            size = fresh.bit_count()
+            sep = (cover[(fresh & -fresh).bit_length() - 1]
+                   ^ cover[(rest & -rest).bit_length() - 1]).bit_length() - 1
+            if size > limit or sep <= j:
+                return None
+            kids.append((fresh, size, sep))
         return kids
 
     def search_size(self, size: int):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -377,14 +378,26 @@ class TestCanonicalPruning:
                 assert searcher._canonical(words) == verdict, words
         assert leaders > 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_sliced_table_equals_one_shot_build(self, n):
-        # the table is filled (n-1)! permutations at a time; column j must
-        # still be the j-th permutation but the identity, in itertools order
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_doubled_table_equals_one_shot_build(self, n):
+        # only the n unit words are permuted, and row w | 2^k is row w ORed
+        # with row 2^k; row w must still be w's image under every permutation
+        # but the identity, column j the j-th in itertools order
         others = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
         perms = np.array(list(others)).reshape(-1, n)
         want = permute_words(np.arange(1 << n), perms, n).T
         np.testing.assert_array_equal(_lex_searcher(n).images, want)
+
+    def test_n8_set_up_stays_small(self):
+        # the 10.3 MB table plus the unit words' images: 11.5 MiB; permuting
+        # every word, in uint32 slices of 7! permutations, peaked at 27.5 MiB
+        tracemalloc.start()
+        try:
+            exact._Searcher(8, 1, list(range(256)), (1 << 256) - 1, False, None, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20, f"the n = 8 set-up peaked at {peak / 2**20:.2f} MiB"
 
     def test_n7_table_is_one_byte_per_image(self):
         images = _lex_searcher(7).images
@@ -441,7 +454,10 @@ class TestPartnerRadius:
 
 class TestGoldenOutcomes:
     # whole outcomes, recorded before the search loop was restructured:
-    # canonical pruning off at n = 4 and at n = 6, and an open budgeted run
+    # canonical pruning off at n = 4 and at n = 6, and an open budgeted run;
+    # then, recorded before _split checked each cut piece at once and the
+    # lex-leader table was built by doubling, the bench's budgeted cell and
+    # the r = 3, n = 7 tree from size 1
     @pytest.mark.parametrize(
         "search,args,kwargs,size,nodes,start,infeasible,words",
         [
@@ -452,6 +468,10 @@ class TestGoldenOutcomes:
              (0, 3, 5, 9, 17, 30, 46, 54, 58, 60)),
             (min_identifying, (1, 6), {"budget": 50_000, "cap": 6, "canonical": False},
              None, 50001, 18, (), None),
+            (min_identifying, (1, 6), {"cap": 6, "budget": 200_000},
+             None, 200_001, 18, (), None),
+            (min_identifying, (3, 7), {"cap": 7, "start_size": 1},
+             8, 46, 1, tuple(range(1, 8)), (0, 1, 6, 25, 42, 45, 51, 52)),
         ],
     )
     def test_outcome(self, search, args, kwargs, size, nodes, start, infeasible, words):
